@@ -9,7 +9,6 @@ __version__ = "0.1.0"
 
 from .analytic import default_quad_order, fit_analytic, transfer_matrix
 from .data import (
-    EmpiricalMeasure,
     SnapshotPair,
     empirical_project,
     generate_iid,

@@ -3,34 +3,39 @@
 Subcommands: ``edmd``, ``analytic``, ``spectrum``, ``predict``,
 ``eigenmeasure``, ``study spectra|prediction|mc-rate|strong-convergence``,
 ``validate``.  Every output file is UTF-8 CSV (or SVG) with ``\\n`` line
-endings, complex numbers as paired re,im columns, and a leading comment line
-echoing the configuration and library version.  Reruns with identical
-configuration and seeds are byte-identical under ``--reproducible``, which
-suppresses the timestamp in that header.
+endings and a leading comment line echoing the configuration and library
+version.  The table format itself (header line, shortest-repr floats, complex
+numbers as paired re,im columns) lives in :mod:`edmdkit._table`.  Reruns with
+identical configuration and seeds are byte-identical under ``--reproducible``,
+which suppresses the timestamp in that header.
 
 Configuration files are plain ``key=value`` lines mirroring the long option
 names one-to-one; command-line flags override file values.  Exit status is 1
 for configuration errors and 2 for numerical failures (rank deficiency,
-eigensolver breakdown).
+eigensolver breakdown), never a traceback: bad input is rejected where it is
+parsed.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
+from dataclasses import astuple
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, systems
+from ._table import write_table
 from .analytic import fit_analytic
 from .data import generate_iid, generate_trajectory
 from .dictionary import parse_dictionary
 from .edmd import fit_edmd, write_koopman_csv
 from .errors import ConfigError, EdmdkitError, EigensolverError, RankDeficiencyError
-from .predict import convergence_sweep, observable_matrix, predict
+from .predict import _family_dictionary, convergence_sweep, observable_matrix, predict
 from .spectral import (
     eig,
     eigenmeasure_extract,
@@ -49,11 +54,37 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _int_list(text):
+def _at_least(minimum):
+    """Argparse type for integer counts bounded below."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive = _at_least(1)
+_nonnegative = _at_least(0)
+
+
+def _finite(text):
     try:
-        return [int(v) for v in text.split(",")]
-    except ValueError as exc:
-        raise ConfigError(f"expected comma-separated integers, got {text!r}") from exc
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _int_list(text):
+    return [_positive(v) for v in text.split(",")]
 
 
 def build_parser() -> _Parser:
@@ -63,80 +94,64 @@ def build_parser() -> _Parser:
                         help="suppress timestamps so reruns are byte-identical")
     common.add_argument("--config", help="key=value file mirroring the flags")
 
+    triple = _Parser(add_help=False)
+    triple.add_argument("--system", required=True)
+    triple.add_argument("--dict", dest="dict_spec", required=True)
+    triple.add_argument("--measure", required=True)
+
     p = _Parser(prog="edmdkit", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="mode", required=True)
 
-    def add(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
+    def add(name, *parents, **kw):
+        return sub.add_parser(name, parents=[*parents, common], **kw)
 
-    q = add("edmd", help="fit a sampled Koopman matrix and write it as CSV")
-    q.add_argument("--system", required=True)
-    q.add_argument("--dict", dest="dict_spec", required=True)
-    q.add_argument("--measure", required=True)
-    q.add_argument("--M", type=int, required=True)
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--tikhonov", type=float, default=0.0)
+    q = add("edmd", triple, help="fit a sampled Koopman matrix and write it as CSV")
+    q.add_argument("--M", type=_positive, required=True)
+    q.add_argument("--seed", type=_nonnegative, default=0)
+    q.add_argument("--tikhonov", type=_finite, default=0.0)
     q.add_argument("--out", default="edmd_matrix.csv")
 
-    q = add("analytic", help="build the sampling-free Koopman matrix")
-    q.add_argument("--system", required=True)
-    q.add_argument("--dict", dest="dict_spec", required=True)
-    q.add_argument("--measure", required=True)
-    q.add_argument("--order", type=int)
+    q = add("analytic", triple, help="build the sampling-free Koopman matrix")
+    q.add_argument("--order", type=_positive)
     q.add_argument("--out", default="analytic_matrix.csv")
 
-    q = add("spectrum", help="eigendecompose a fit and emit CSV + SVG")
-    q.add_argument("--system", required=True)
-    q.add_argument("--dict", dest="dict_spec", required=True)
-    q.add_argument("--measure", required=True)
+    q = add("spectrum", triple, help="eigendecompose a fit and emit CSV + SVG")
     q.add_argument("--analytic", action="store_true")
-    q.add_argument("--M", type=int)
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--order", type=int)
+    q.add_argument("--M", type=_positive)
+    q.add_argument("--seed", type=_nonnegative, default=0)
+    q.add_argument("--order", type=_positive)
 
-    q = add("predict", help="finite-horizon prediction against the true trajectory")
-    q.add_argument("--system", required=True)
-    q.add_argument("--dict", dest="dict_spec", required=True)
-    q.add_argument("--measure", required=True)
-    q.add_argument("--x0", type=float, required=True)
-    q.add_argument("--horizon", type=int, required=True)
+    q = add("predict", triple, help="finite-horizon prediction against the true trajectory")
+    q.add_argument("--x0", type=_finite, required=True)
+    q.add_argument("--horizon", type=_nonnegative, required=True)
     q.add_argument("--analytic", action="store_true")
-    q.add_argument("--M", type=int)
-    q.add_argument("--seed", type=int, default=0)
+    q.add_argument("--M", type=_positive)
+    q.add_argument("--seed", type=_nonnegative, default=0)
 
     q = add("eigenmeasure", help="single-trajectory (M = N) eigenmeasure extraction")
     q.add_argument("--system", required=True)
     q.add_argument("--family", required=True, choices=["legendre", "monomial", "fourier"])
-    q.add_argument("--N", type=int, required=True)
-    q.add_argument("--x0", type=float, required=True)
-    q.add_argument("--pair", type=int, default=0)
+    q.add_argument("--N", type=_positive, required=True)
+    q.add_argument("--x0", type=_finite, required=True)
+    q.add_argument("--pair", type=_nonnegative, default=0)
 
     st = add("study", help="multi-cell experiment studies")
     stsub = st.add_subparsers(dest="study_kind", required=True)
 
-    q = stsub.add_parser("spectra", parents=[common])
-    q.add_argument("--system", required=True)
-    q.add_argument("--dict", dest="dict_spec", required=True)
-    q.add_argument("--measure", required=True)
+    q = stsub.add_parser("spectra", parents=[triple, common])
     q.add_argument("--M", type=_int_list, required=True)
-    q.add_argument("--seeds", type=int, default=5)
-    q.add_argument("--order", type=int)
+    q.add_argument("--seeds", type=_positive, default=5)
+    q.add_argument("--order", type=_positive)
 
-    q = stsub.add_parser("prediction", parents=[common])
-    q.add_argument("--system", required=True)
-    q.add_argument("--dict", dest="dict_spec", required=True)
-    q.add_argument("--measure", required=True)
+    q = stsub.add_parser("prediction", parents=[triple, common])
     q.add_argument("--M", type=_int_list, required=True)
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--x0", type=float, required=True)
-    q.add_argument("--horizon", type=int, default=10)
+    q.add_argument("--seed", type=_nonnegative, default=0)
+    q.add_argument("--x0", type=_finite, required=True)
+    q.add_argument("--horizon", type=_nonnegative, default=10)
 
-    q = stsub.add_parser("mc-rate", parents=[common])
-    q.add_argument("--system", required=True)
-    q.add_argument("--dict", dest="dict_spec", required=True)
-    q.add_argument("--measure", required=True)
+    q = stsub.add_parser("mc-rate", parents=[triple, common])
     q.add_argument("--M", type=_int_list, required=True)
-    q.add_argument("--seeds", type=int, default=5)
+    q.add_argument("--seeds", type=_positive, default=5)
 
     q = stsub.add_parser("strong-convergence", parents=[common])
     q.add_argument("--system", required=True)
@@ -144,14 +159,14 @@ def build_parser() -> _Parser:
     q.add_argument("--measure", required=True)
     q.add_argument("--N", type=_int_list, required=True)
     q.add_argument("--M", type=_int_list, default=[])
-    q.add_argument("--seeds", type=int, default=1)
-    q.add_argument("--horizon", type=int, default=5)
+    q.add_argument("--seeds", type=_positive, default=1)
+    q.add_argument("--horizon", type=_nonnegative, default=5)
 
     q = add("validate", help="report configuration diagnostics without running")
     q.add_argument("--system")
     q.add_argument("--dict", dest="dict_spec")
     q.add_argument("--measure")
-    q.add_argument("--M", type=int)
+    q.add_argument("--M", type=_positive)
 
     return p
 
@@ -238,6 +253,13 @@ def _default_observable(system):
     return lambda pts: pts[0]
 
 
+def _observable(system, dic, measure):
+    """Coefficients of the default observable, projected with a Gauss rule
+    of at least twice the dictionary size."""
+    return observable_matrix(_default_observable(system), dic,
+                             systems.gauss_rule(measure, max(64, 2 * dic.size)))
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -249,12 +271,18 @@ def _parse_triple(args):
     return system, dic, measure
 
 
+def _triple_params(args, **extra):
+    """Header parameters of a command that takes --system/--dict/--measure."""
+    return dict(system=args.system, dict=args.dict_spec, measure=args.measure, **extra)
+
+
 def _cmd_edmd(args):
+    if args.tikhonov < 0.0:
+        raise ConfigError(f"--tikhonov must be nonnegative, got {args.tikhonov!r}")
     system, dic, measure = _parse_triple(args)
     pair = generate_iid(system, measure, args.M, args.seed)
     k = fit_edmd(pair, dic, tikhonov=args.tikhonov)
-    params = dict(system=args.system, dict=args.dict_spec, measure=args.measure,
-                  M=args.M, seed=args.seed)
+    params = _triple_params(args, M=args.M, seed=args.seed)
     _write(_outdir(args) / args.out, _header(args, params), lambda f: write_koopman_csv(k, f))
     return 0
 
@@ -262,8 +290,7 @@ def _cmd_edmd(args):
 def _cmd_analytic(args):
     system, dic, measure = _parse_triple(args)
     k = fit_analytic(system, dic, measure, quad_order=args.order)
-    params = dict(system=args.system, dict=args.dict_spec, measure=args.measure,
-                  provenance=k.provenance)
+    params = _triple_params(args, provenance=k.provenance)
     _write(_outdir(args) / args.out, _header(args, params), lambda f: write_koopman_csv(k, f))
     return 0
 
@@ -280,8 +307,7 @@ def _cmd_spectrum(args):
     system, dic, measure = _parse_triple(args)
     k = _fit_for(args, system, dic, measure)
     decomp = eig(k)
-    params = dict(system=args.system, dict=args.dict_spec, measure=args.measure,
-                  provenance=k.provenance)
+    params = _triple_params(args, provenance=k.provenance)
     out = _outdir(args)
     _write(out / "spectrum.csv", _header(args, params),
            lambda f: write_spectrum_csv(decomp, f))
@@ -296,31 +322,22 @@ def _cmd_spectrum(args):
 def _cmd_predict(args):
     system, dic, measure = _parse_triple(args)
     k = _fit_for(args, system, dic, measure)
-    cmat = observable_matrix(_default_observable(system), dic,
-                             systems.gauss_rule(measure, max(64, 2 * dic.size)))
-    result = predict(k, cmat, np.array([args.x0]), args.horizon, dic, system)
-    params = dict(system=args.system, dict=args.dict_spec, measure=args.measure,
-                  x0=args.x0, horizon=args.horizon, provenance=k.provenance)
-
-    def body(f):
-        f.write("step,truth_re,truth_im,pred_re,pred_im,abs_error\n")
-        for i in range(result.horizon):
-            t, pr = result.truth[i, 0], result.predicted[i, 0]
-            f.write(f"{i + 1},{float(t.real)!r},{float(t.imag)!r},{float(pr.real)!r},"
-                    f"{float(pr.imag)!r},{float(result.errors[i])!r}\n")
-
-    _write(_outdir(args) / "prediction.csv", _header(args, params), body)
+    result = predict(k, _observable(system, dic, measure), np.array([args.x0]),
+                     args.horizon, dic, system)
+    params = _triple_params(args, x0=args.x0, horizon=args.horizon, provenance=k.provenance)
+    columns = ["step", "truth_re", "truth_im", "pred_re", "pred_im", "abs_error"]
+    rows = zip(range(1, result.horizon + 1), result.truth[:, 0].tolist(),
+               result.predicted[:, 0].tolist(), result.errors.tolist())
+    _write(_outdir(args) / "prediction.csv", _header(args, params),
+           lambda f: write_table(f, columns, rows))
     return 0
 
 
 def _cmd_eigenmeasure(args):
+    if args.pair >= args.N:
+        raise ConfigError(f"--pair {args.pair} is out of range for --N {args.N}")
     system = systems.parse_system(args.system)
-    if args.family == "fourier":
-        if args.N % 2 == 0:
-            raise ConfigError("fourier dictionaries have odd size")
-        dic = parse_dictionary(f"fourier:{(args.N - 1) // 2}", system.domain)
-    else:
-        dic = parse_dictionary(f"{args.family}:{args.N - 1}", system.domain)
+    dic = _family_dictionary(args.family, args.N, system.domain)
     pair = generate_trajectory(system, np.array([args.x0]), args.N)
     k = fit_edmd(pair, dic)
     decomp = eig(k)
@@ -341,8 +358,7 @@ def _cmd_study_spectra(args):
     k_an = fit_analytic(system, dic, measure, quad_order=args.order)
     spec_an = eig(k_an).eigenvalues
     out = _outdir(args)
-    params = dict(system=args.system, dict=args.dict_spec, measure=args.measure,
-                  M=",".join(map(str, args.M)), seeds=args.seeds)
+    params = _triple_params(args, M=",".join(map(str, args.M)), seeds=args.seeds)
     rows = []
     for m in args.M:
         first = None
@@ -358,47 +374,29 @@ def _cmd_study_spectra(args):
                    [("analytic", spec_an, "circle"), (f"sampled M={m}", first, "cross")],
                    title=f"{args.system} spectra, M={m}",
                    comment=_header(args, params).strip("#\n ")))
-
-    def body(f):
-        f.write("M,seed,hausdorff\n")
-        for m, seed, h in rows:
-            f.write(f"{m},{seed},{h!r}\n")
-
-    _write(out / "hausdorff.csv", _header(args, params), body)
+    _write(out / "hausdorff.csv", _header(args, params),
+           lambda f: write_table(f, ["M", "seed", "hausdorff"], rows))
     return 0
 
 
 def _cmd_study_prediction(args):
     system, dic, measure = _parse_triple(args)
-    cmat = observable_matrix(_default_observable(system), dic,
-                             systems.gauss_rule(measure, max(64, 2 * dic.size)))
+    cmat = _observable(system, dic, measure)
     x0 = np.array([args.x0])
     k_an = fit_analytic(system, dic, measure)
     res_an = predict(k_an, cmat, x0, args.horizon, dic, system)
     sampled = []
     for m in args.M:
         k = fit_edmd(generate_iid(system, measure, m, args.seed), dic)
-        sampled.append((m, predict(k, cmat, x0, args.horizon, dic, system)))
-    params = dict(system=args.system, dict=args.dict_spec, measure=args.measure,
-                  M=",".join(map(str, args.M)), seed=args.seed, x0=args.x0,
-                  horizon=args.horizon)
-
-    def body(f):
-        cols = ["step", "truth_re", "truth_im", "analytic_re", "analytic_im"]
-        for m, _ in sampled:
-            cols.extend([f"M{m}_re", f"M{m}_im"])
-        f.write(",".join(cols) + "\n")
-        for i in range(args.horizon):
-            t = res_an.truth[i, 0]
-            vals = [str(i + 1), repr(float(t.real)), repr(float(t.imag)),
-                    repr(float(res_an.predicted[i, 0].real)),
-                    repr(float(res_an.predicted[i, 0].imag))]
-            for _, r in sampled:
-                vals.extend([repr(float(r.predicted[i, 0].real)),
-                             repr(float(r.predicted[i, 0].imag))])
-            f.write(",".join(vals) + "\n")
-
-    _write(_outdir(args) / "prediction_study.csv", _header(args, params), body)
+        sampled.append(predict(k, cmat, x0, args.horizon, dic, system))
+    params = _triple_params(args, M=",".join(map(str, args.M)), seed=args.seed, x0=args.x0,
+                            horizon=args.horizon)
+    columns = ["step", "truth_re", "truth_im", "analytic_re", "analytic_im",
+               *(f"M{m}_{part}" for m in args.M for part in ("re", "im"))]
+    rows = zip(range(1, args.horizon + 1), res_an.truth[:, 0].tolist(),
+               res_an.predicted[:, 0].tolist(), *(r.predicted[:, 0].tolist() for r in sampled))
+    _write(_outdir(args) / "prediction_study.csv", _header(args, params),
+           lambda f: write_table(f, columns, rows))
     return 0
 
 
@@ -415,15 +413,9 @@ def _cmd_study_mc_rate(args):
             rows.append((m, seed, gaps[-1]))
         medians.append(float(np.median(gaps)))
     slope = float(np.polyfit(np.log(args.M), np.log(medians), 1)[0]) if len(args.M) > 1 else 0.0
-    params = dict(system=args.system, dict=args.dict_spec, measure=args.measure,
-                  M=",".join(map(str, args.M)), seeds=args.seeds)
-
-    def body(f):
-        f.write("M,seed,frob_gap\n")
-        for m, seed, gap in rows:
-            f.write(f"{m},{seed},{gap!r}\n")
-
-    _write(_outdir(args) / "mc_rate.csv", _header(args, params), body)
+    params = _triple_params(args, M=",".join(map(str, args.M)), seeds=args.seeds)
+    _write(_outdir(args) / "mc_rate.csv", _header(args, params),
+           lambda f: write_table(f, ["M", "seed", "frob_gap"], rows))
     print(f"loglog_slope_of_median={slope!r}")
     return 0
 
@@ -444,16 +436,10 @@ def _cmd_study_strong(args):
     rows = convergence_sweep(system, measure, args.family, args.N, args.M,
                              args.horizon, _default_observable(system),
                              list(range(args.seeds)), spectrum_writer=spectrum_writer)
-
-    def body(f):
-        f.write("N,M_or_analytic,seed,step,l2_error,frob_gap,spectrum_file\n")
-        for r in rows:
-            seed = "" if r.seed is None else r.seed
-            gap = "" if r.frob_gap is None else repr(r.frob_gap)
-            f.write(f"{r.N},{r.m_or_analytic},{seed},{r.step},{r.l2_error!r},"
-                    f"{gap},{r.spectrum_file}\n")
-
-    _write(out / "strong_convergence.csv", header, body)
+    # SweepRow fields are in column order; None (analytic seed and gap) is an empty cell
+    columns = ["N", "M_or_analytic", "seed", "step", "l2_error", "frob_gap", "spectrum_file"]
+    _write(out / "strong_convergence.csv", header,
+           lambda f: write_table(f, columns, map(astuple, rows)))
     return 0
 
 
@@ -472,7 +458,7 @@ def validate_config(args) -> list:
         try:
             dic = parse_dictionary(args.dict_spec,
                                    system.domain if system is not None else None)
-        except (ConfigError, ValueError) as exc:
+        except ConfigError as exc:
             diags.append(f"error: {exc}")
     if args.measure:
         try:

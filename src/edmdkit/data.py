@@ -8,31 +8,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import systems
+from ._table import float_rows, read_table, write_table
 from .dictionary import Dictionary, evaluate_batch
 from .errors import RankDeficiencyError
 from .systems import DynamicalSystem, Measure, as_points, as_state
-
-
-@dataclass(frozen=True)
-class EmpiricalMeasure:
-    """Uniform atomic probability measure on M sample points (weight 1/M each);
-    integrating against it is averaging over the atoms."""
-
-    atoms: np.ndarray  # (d, M)
-
-    @property
-    def count(self):
-        return self.atoms.shape[1]
-
-    @property
-    def weights(self):
-        return np.full(self.count, 1.0 / self.count)
-
-    def integrate(self, values) -> complex:
-        v = np.asarray(values).reshape(-1)
-        if v.shape[0] != self.count:
-            raise ValueError("values must match the atom count")
-        return complex(np.mean(v))
 
 
 @dataclass(frozen=True)
@@ -54,10 +33,6 @@ class SnapshotPair:
     @property
     def is_trajectory(self):
         return self.provenance.startswith("trajectory")
-
-    @property
-    def empirical_measure(self) -> EmpiricalMeasure:
-        return EmpiricalMeasure(self.X)
 
 
 def generate_iid(system: DynamicalSystem, measure: Measure, count: int, seed: int) -> SnapshotPair:
@@ -130,37 +105,19 @@ def empirical_project(dic: Dictionary, points, f_values, weights=None) -> np.nda
 
 
 # ---------------------------------------------------------------------------
-# CSV wire format: header `d,M,provenance`, then one row per pair
+# CSV wire format: header `d,M,provenance`, its row, then one row x,y per pair
+
+_SNAPSHOT_COLUMNS = ("d", "M", "provenance")
 
 
 def write_snapshots_csv(pair: SnapshotPair, f: io.TextIOBase):
     d, m = pair.X.shape
-    f.write("d,M,provenance\n")
-    f.write(f"{d},{m},{pair.provenance}\n")
-    for j in range(m):
-        row = [repr(float(v)) for v in pair.X[:, j]] + [repr(float(v)) for v in pair.Y[:, j]]
-        f.write(",".join(row) + "\n")
-
-
-def _first_data_line(f):
-    line = f.readline()
-    while line and line.lstrip().startswith("#"):
-        line = f.readline()
-    return line.strip()
+    write_table(f, _SNAPSHOT_COLUMNS,
+                [[d, m, pair.provenance], *np.vstack([pair.X, pair.Y]).T.tolist()])
 
 
 def read_snapshots_csv(f: io.TextIOBase) -> SnapshotPair:
-    header = _first_data_line(f)
-    if header != "d,M,provenance":
-        raise ValueError(f"unexpected snapshot header {header!r}")
-    d_s, m_s, provenance = f.readline().strip().split(",", 2)
-    d, m = int(d_s), int(m_s)
-    X = np.empty((d, m))
-    Y = np.empty((d, m))
-    for j in range(m):
-        vals = [float(v) for v in f.readline().strip().split(",")]
-        if len(vals) != 2 * d:
-            raise ValueError(f"snapshot row {j} has {len(vals)} fields, expected {2 * d}")
-        X[:, j] = vals[:d]
-        Y[:, j] = vals[d:]
-    return SnapshotPair(X, Y, provenance)
+    meta, *body = read_table(f, _SNAPSHOT_COLUMNS)
+    d, m = int(meta[0]), int(meta[1])
+    xy = float_rows(body, (m, 2 * d), "snapshot table").T
+    return SnapshotPair(xy[:d].copy(), xy[d:].copy(), meta[2])

@@ -73,6 +73,10 @@ class Dictionary:
         return np.array(ks)
 
 
+_DEFAULT_DOMAINS = {"legendre": box(-1.0, 1.0), "monomial": box(-1.0, 1.0),
+                    "fourier": circle(1), "sine": box(0.0, 1.0)}
+
+
 def parse_dictionary(spec: str, domain: Domain | None = None) -> Dictionary:
     """Build a dictionary from ``legendre:<max_degree>``, ``monomial:<max_degree>``,
     ``fourier:<max_mode>`` or ``sine:<mode>``.
@@ -85,13 +89,12 @@ def parse_dictionary(spec: str, domain: Domain | None = None) -> Dictionary:
         param = int(body)
     except ValueError as exc:
         raise ConfigError(f"dictionary parameter must be an integer: {spec!r}") from exc
-    if name in ("legendre", "monomial"):
-        return Dictionary(name, param, domain if domain is not None else box(-1.0, 1.0))
-    if name == "fourier":
-        return Dictionary(name, param, domain if domain is not None else circle(1))
-    if name == "sine":
-        return Dictionary(name, param, domain if domain is not None else box(0.0, 1.0))
-    raise ConfigError(f"unknown dictionary {spec!r}")
+    if name not in _DEFAULT_DOMAINS:
+        raise ConfigError(f"unknown dictionary {spec!r}")
+    try:
+        return Dictionary(name, param, domain if domain is not None else _DEFAULT_DOMAINS[name])
+    except ValueError as exc:
+        raise ConfigError(f"invalid dictionary {spec!r}: {exc}") from exc
 
 
 def _legendre_values_derivs(max_deg, t):

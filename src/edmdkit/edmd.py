@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._table import float_rows, read_table, write_table
 from .data import SnapshotPair
 from .dictionary import Dictionary, evaluate_batch, parse_dictionary
 from .errors import RankDeficiencyError
@@ -147,35 +148,21 @@ def _parse_domain_label(label: str) -> Domain:
     return box(vals[0::2], vals[1::2])
 
 
+_KOOPMAN_COLUMNS = ("N", "provenance", "dictionary", "domain", "sigma_max", "sigma_min")
+
+
 def write_koopman_csv(k: KoopmanMatrix, f: io.TextIOBase):
-    """Serialize with full-precision reprs so the reader round-trips bit-exactly."""
-    f.write("N,provenance,dictionary,domain,sigma_max,sigma_min\n")
-    f.write(
-        f"{k.size},{k.provenance},{k.dictionary.spec_string},"
-        f"{_domain_label(k.dictionary.domain)},{k.sigma_max!r},{k.sigma_min!r}\n"
-    )
-    for i in range(k.size):
-        row = []
-        for j in range(k.size):
-            row.append(repr(float(k.A[i, j].real)))
-            row.append(repr(float(k.A[i, j].imag)))
-        f.write(",".join(row) + "\n")
+    """Serialize with full-precision reprs so the reader round-trips bit-exactly:
+    a metadata row, then row i of A as N re,im pairs."""
+    meta = [k.size, k.provenance, k.dictionary.spec_string,
+            _domain_label(k.dictionary.domain), k.sigma_max, k.sigma_min]
+    write_table(f, _KOOPMAN_COLUMNS, [meta, *np.asarray(k.A, dtype=complex).tolist()])
 
 
 def read_koopman_csv(f: io.TextIOBase) -> KoopmanMatrix:
-    header = f.readline()
-    while header and header.lstrip().startswith("#"):
-        header = f.readline()
-    header = header.strip()
-    if header != "N,provenance,dictionary,domain,sigma_max,sigma_min":
-        raise ValueError(f"unexpected koopman header {header!r}")
-    n_s, provenance, dict_spec, dom_label, smax, smin = f.readline().strip().split(",")
+    (n_s, provenance, dict_spec, dom_label, smax, smin), *body = read_table(f, _KOOPMAN_COLUMNS)
     n = int(n_s)
     dic = parse_dictionary(dict_spec, _parse_domain_label(dom_label))
-    a = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        vals = [float(v) for v in f.readline().strip().split(",")]
-        if len(vals) != 2 * n:
-            raise ValueError(f"matrix row {i} has {len(vals)} fields, expected {2 * n}")
-        a[i] = np.asarray(vals[0::2]) + 1j * np.asarray(vals[1::2])
+    # viewing re,im pairs as complex keeps every bit, signed zeros included
+    a = float_rows(body, (n, 2 * n), "koopman matrix").view(complex)
     return KoopmanMatrix(a, dic, provenance, float(smax), float(smin))

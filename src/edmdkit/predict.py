@@ -15,7 +15,7 @@ import numpy as np
 
 from . import systems
 from .data import empirical_project, generate_iid
-from .dictionary import Dictionary, evaluate_batch
+from .dictionary import Dictionary, evaluate_batch, parse_dictionary
 from .edmd import KoopmanMatrix, fit_edmd
 from .errors import ConfigError
 from .spectral import eig
@@ -158,12 +158,14 @@ class SweepRow:
 
 
 def _family_dictionary(family: str, n: int, domain) -> Dictionary:
+    """The dictionary of ``family`` with exactly ``n`` elements on ``domain``;
+    raises ConfigError for sizes and domains the family cannot take."""
     if family in ("legendre", "monomial"):
-        return Dictionary(family, n - 1, domain)
+        return parse_dictionary(f"{family}:{n - 1}", domain)
     if family == "fourier":
         if n % 2 == 0:
             raise ConfigError("fourier dictionaries have odd size 2*max_mode+1")
-        return Dictionary(family, (n - 1) // 2, domain)
+        return parse_dictionary(f"fourier:{(n - 1) // 2}", domain)
     raise ConfigError(f"family {family!r} cannot be sized by N")
 
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import systems
+from ._table import float_rows, read_table, write_table
 from .dictionary import derivative_batch, evaluate_batch
 from .edmd import KoopmanMatrix
 from .errors import EigensolverError, RankDeficiencyError
@@ -226,35 +227,23 @@ def pf_check(nu: Eigenmeasure, system: DynamicalSystem, test_fns) -> list[PFResi
 # CSV wire formats
 
 
+_SPECTRUM_COLUMNS = ("re", "im", "residual")
+
+
 def write_spectrum_csv(decomp: SpectralDecomp, f: io.TextIOBase):
-    f.write("re,im,residual\n")
-    for lam, res in zip(decomp.eigenvalues, decomp.residuals):
-        f.write(f"{float(lam.real)!r},{float(lam.imag)!r},{float(res)!r}\n")
+    eigenvalues = np.asarray(decomp.eigenvalues, dtype=complex)
+    write_table(f, _SPECTRUM_COLUMNS, zip(eigenvalues.tolist(), decomp.residuals.tolist()))
 
 
 def read_spectrum_csv(f: io.TextIOBase) -> np.ndarray:
-    header = f.readline()
-    while header and header.lstrip().startswith("#"):
-        header = f.readline()
-    header = header.strip()
-    if header != "re,im,residual":
-        raise ValueError(f"unexpected spectrum header {header!r}")
-    vals = []
-    for line in f:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        re_s, im_s, _ = line.split(",")
-        vals.append(complex(float(re_s), float(im_s)))
-    return np.asarray(vals)
+    rows = read_table(f, _SPECTRUM_COLUMNS)
+    re_im = float_rows(rows, (len(rows), 3), "spectrum table")[:, :2]
+    # viewing re,im pairs as complex keeps every bit, signed zeros included
+    return np.ascontiguousarray(re_im).view(complex)[:, 0]
 
 
 def write_eigenmeasure_csv(nu: Eigenmeasure, f: io.TextIOBase):
-    d = nu.atoms.shape[0]
-    cols = [f"x_{i + 1}" for i in range(d)] + ["re_weight", "im_weight"]
-    f.write(",".join(cols) + "\n")
-    for i in range(nu.count):
-        row = [repr(float(v)) for v in nu.atoms[:, i]]
-        row.append(repr(float(nu.weights[i].real)))
-        row.append(repr(float(nu.weights[i].imag)))
-        f.write(",".join(row) + "\n")
+    columns = [f"x_{i + 1}" for i in range(nu.atoms.shape[0])] + ["re_weight", "im_weight"]
+    weights = np.asarray(nu.weights, dtype=complex)
+    rows = [[*x, w] for x, w in zip(nu.atoms.T.tolist(), weights.tolist())]
+    write_table(f, columns, rows)

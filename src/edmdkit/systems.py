@@ -77,16 +77,14 @@ class DynamicalSystem:
 
     ``forward`` acts on a single state (1-D array); ``forward_batch``, when
     given, acts on a ``(d, M)`` array of states and must agree with column-wise
-    application of ``forward``.  ``inverse`` is optional and only required by
-    the single-trajectory eigenmeasure machinery, which assumes T is a
-    homeomorphism.  ``polynomial_degree`` is the per-axis polynomial degree of
-    T when T is polynomial; it drives exact quadrature order selection.
+    application of ``forward``.  ``polynomial_degree`` is the per-axis
+    polynomial degree of T when T is polynomial; it drives exact quadrature
+    order selection.
     """
 
     name: str
     domain: Domain
     forward: Callable
-    inverse: Callable | None = None
     forward_batch: Callable | None = None
     polynomial_degree: int | None = None
 
@@ -337,7 +335,6 @@ def _identity():
         name="identity",
         domain=dom,
         forward=lambda x: x,
-        inverse=lambda x: x,
         forward_batch=lambda p: p,
         polynomial_degree=1,
     )
@@ -349,22 +346,29 @@ def _rotation(omega):
         name=f"rotation:omega={omega!r}",
         domain=dom,
         forward=lambda x: x + omega,
-        inverse=lambda x: x - omega,
         forward_batch=lambda p: p + omega,
     )
 
 
 def _affine(a, b):
     dom = box(-1.0, 1.0)
-    inv = (lambda x: (x - b) / a) if a != 0.0 else None
     return DynamicalSystem(
         name=f"affine:a={a!r},b={b!r}",
         domain=dom,
         forward=lambda x: a * x + b,
-        inverse=inv,
         forward_batch=lambda p: a * p + b,
         polynomial_degree=1,
     )
+
+
+def _number(text, spec):
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise ConfigError(f"non-numeric value in {spec!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"non-finite value in {spec!r}")
+    return value
 
 
 def _parse_kv(body, spec):
@@ -373,10 +377,7 @@ def _parse_kv(body, spec):
         if "=" not in part:
             raise ConfigError(f"malformed parameter {part!r} in {spec!r}")
         k, _, v = part.partition("=")
-        try:
-            out[k.strip()] = float(v)
-        except ValueError as exc:
-            raise ConfigError(f"non-numeric value in {spec!r}") from exc
+        out[k.strip()] = _number(v, spec)
     return out
 
 
@@ -411,20 +412,14 @@ def parse_measure(spec: str) -> Measure:
     if name == "uniform":
         if len(parts) != 2:
             raise ConfigError(f"uniform takes <lo>,<hi>, got {spec!r}")
-        try:
-            lo, hi = float(parts[0]), float(parts[1])
-        except ValueError as exc:
-            raise ConfigError(f"non-numeric bounds in {spec!r}") from exc
+        lo, hi = (_number(v, spec) for v in parts)
         if not lo < hi:
             raise ConfigError(f"uniform requires lo < hi, got {spec!r}")
         return uniform(box(lo, hi))
     if name == "gaussian":
         if len(parts) != 2:
             raise ConfigError(f"gaussian takes <mean>,<var>, got {spec!r}")
-        try:
-            m, v = float(parts[0]), float(parts[1])
-        except ValueError as exc:
-            raise ConfigError(f"non-numeric parameters in {spec!r}") from exc
+        m, v = (_number(p, spec) for p in parts)
         if v <= 0:
             raise ConfigError("gaussian variance must be positive")
         return gaussian(m, v)

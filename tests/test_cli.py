@@ -5,6 +5,28 @@ from edmdkit import read_koopman_csv, read_spectrum_csv
 from edmdkit.cli import main
 
 
+TRIPLE = ["--system", "logistic", "--dict", "legendre:8", "--measure", "uniform:-1,1"]
+ROTATION = ["--system", "rotation:omega=0.8378", "--family", "fourier"]
+STRONG = ["study", "strong-convergence", "--system", "logistic", "--family", "legendre",
+          "--measure", "uniform:-1,1"]
+
+# the CLI section of README.md, verbatim
+README_COMMANDS = {
+    "edmd": ["edmd", *TRIPLE, "--M", "1000", "--seed", "0"],
+    "analytic": ["analytic", *TRIPLE],
+    "spectrum": ["spectrum", *TRIPLE, "--analytic"],
+    "predict": ["predict", *TRIPLE, "--x0", "0.3", "--horizon", "10", "--analytic"],
+    "eigenmeasure": ["eigenmeasure", *ROTATION, "--N", "15", "--x0", "0.7"],
+    "study-spectra": ["study", "spectra", *TRIPLE, "--M", "100,1000,100000", "--seeds", "5"],
+    "study-prediction": ["study", "prediction", *TRIPLE, "--M", "100,1000", "--x0", "0.3",
+                         "--horizon", "10"],
+    "study-mc-rate": ["study", "mc-rate", *TRIPLE, "--M", "100,1000,10000,100000",
+                      "--seeds", "5"],
+    "study-strong-convergence": [*STRONG, "--N", "3,5,9,13,17", "--horizon", "5"],
+    "validate": ["validate", *TRIPLE, "--M", "5"],
+}
+
+
 def run(tmp_path, *args):
     return main([*map(str, args), "--outdir", str(tmp_path)])
 
@@ -57,6 +79,34 @@ class TestExitCodes:
                    "--family", "legendre", "--N", "100", "--x0", "0.31")
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("argv", [
+        ["edmd", *TRIPLE, "--M", "0"],
+        ["edmd", "--system", "logistic", "--dict", "legendre:-2", "--measure", "uniform:-1,1",
+         "--M", "10"],
+        ["edmd", "--system", "logistic", "--dict", "fourier:2", "--measure", "uniform:-1,1",
+         "--M", "10"],
+        ["spectrum", *TRIPLE, "--M", "-3"],
+        ["analytic", *TRIPLE, "--order", "0"],
+        ["predict", *TRIPLE, "--x0", "0.3", "--horizon", "-1", "--analytic"],
+        ["study", "prediction", *TRIPLE, "--M", "100", "--x0", "0.3", "--horizon", "-2"],
+        [*STRONG, "--N", "3", "--horizon", "-1"],
+        ["eigenmeasure", "--system", "logistic", "--family", "legendre", "--N", "0",
+         "--x0", "0.3"],
+        ["eigenmeasure", *ROTATION, "--N", "15", "--x0", "0.7", "--pair", "99"],
+        ["study", "mc-rate", *TRIPLE, "--M", "100,1000", "--seeds", "0"],
+        ["edmd", *TRIPLE, "--M", "100", "--tikhonov", "-1"],
+        ["edmd", *TRIPLE, "--M", "100", "--seed", "-1"],
+        ["predict", *TRIPLE, "--x0", "nan", "--horizon", "3", "--analytic"],
+        ["edmd", "--system", "rotation:omega=inf", "--dict", "fourier:2",
+         "--measure", "uniform:0,6", "--M", "100"],
+        ["study", "strong-convergence", "--system", "logistic", "--family", "fourier",
+         "--measure", "uniform:-1,1", "--N", "3"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_bad_input_is_config_error(self, tmp_path, capsys, argv):
+        assert run(tmp_path, *argv) == 1
+        assert "configuration error" in capsys.readouterr().err
 
 
 class TestValidate:
@@ -161,6 +211,18 @@ class TestDeterminism:
         assert main([*args, "--outdir", str(d2)]) == 0
         for name in ["hausdorff.csv", "spectra_M50.svg", "spectra_M100.svg"]:
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
+    @pytest.mark.parametrize("name", README_COMMANDS)
+    def test_readme_command_reruns_byte_identical(self, tmp_path, capsys, name):
+        outputs = []
+        for run_dir in (tmp_path / "a", tmp_path / "b"):
+            assert run(run_dir, *README_COMMANDS[name], "--reproducible") == 0
+            stdout = capsys.readouterr().out.replace(str(run_dir), "<outdir>")
+            files = {p.name: p.read_bytes() for p in run_dir.iterdir()} if run_dir.exists() else {}
+            outputs.append((stdout, files))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][1] or name == "validate"
 
 
 class TestConfigFile:

@@ -140,17 +140,3 @@ class TestCsvRoundTrip:
         assert back.X.tobytes() == pair.X.tobytes()
         assert back.Y.tobytes() == pair.Y.tobytes()
         assert back.provenance == pair.provenance
-
-
-class TestEmpiricalMeasure:
-    def test_uniform_atomic_weights(self):
-        pair = generate_iid(parse_system("logistic"), parse_measure("uniform:-1,1"), 8, 0)
-        mu_hat = pair.empirical_measure
-        assert mu_hat.count == 8
-        assert np.sum(mu_hat.weights) == pytest.approx(1.0)
-        assert np.all(mu_hat.weights == 1.0 / 8)
-
-    def test_integration_is_averaging(self):
-        pair = generate_iid(parse_system("logistic"), parse_measure("uniform:-1,1"), 100, 1)
-        vals = pair.X[0] ** 2
-        assert pair.empirical_measure.integrate(vals) == pytest.approx(np.mean(vals))

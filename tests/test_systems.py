@@ -16,7 +16,6 @@ from edmdkit import (
     sample,
     uniform,
 )
-from edmdkit.systems import apply_batch
 
 from _oracles import uniform_moment
 
@@ -70,15 +69,6 @@ class TestIterate:
             once = iterate(system, x, int(a + b))
             twice = iterate(system, iterate(system, x, int(a)), int(b))
             assert np.allclose(once, twice, atol=1e-12)
-
-    def test_inverse_roundtrip(self):
-        for spec in ["rotation:omega=1.3", "affine:a=0.5,b=0.2", "identity"]:
-            system = parse_system(spec)
-            pts = sample(uniform(system.domain), 100, seed=11)
-            fwd = apply_batch(system, pts)
-            back = np.column_stack([system.inverse(fwd[:, j]) for j in range(100)])
-            back = system.domain.wrap(back)
-            assert np.max(np.abs(back - system.domain.wrap(pts))) <= 1e-12
 
 
 class TestGaussRule:
