@@ -15,12 +15,11 @@ import warnings
 import numpy as np
 
 from . import systems
-from .dictionary import Dictionary, evaluate_batch, gram
+from .dictionary import Dictionary, _gram_solve, evaluate_batch, gram
 from .edmd import KoopmanMatrix
-from .errors import DomainEscapeError, DomainEscapeWarning, QuadratureSaturationWarning
+from .errors import DomainEscapeError, DomainEscapeWarning, QuadratureSaturationWarning, check_rank
 from .systems import DynamicalSystem, Measure, QuadratureRule
 
-_EPS = np.finfo(float).eps
 _MAX_NODES = 2**14
 _AGREEMENT = 1e-12
 
@@ -59,9 +58,20 @@ def default_quad_order(system: DynamicalSystem, dic: Dictionary) -> int | None:
     return None
 
 
-def _build(system, dic, measure, order):
+def _fit(system, dic, measure, order):
+    """A = M_T G^{-1} and the ascending Gram eigenvalues under the Gauss rule
+    of ``order`` nodes; G counts as singular at N * eps * lambda_max."""
     rule = systems.gauss_rule(measure, order)
-    return gram(dic, rule), transfer_matrix(system, dic, rule)
+    g, m_t = gram(dic, rule), transfer_matrix(system, dic, rule)
+    what = "Gram matrix of the dictionary"
+    if dic.orthonormal_wrt == measure:
+        # A is M_T: the eigenvalues alone serve sigma and the rank rule
+        lam = np.linalg.eigvalsh(g)
+        check_rank(what, lam[0], lam[-1], dic.size)
+        return m_t, lam
+    # A^H = G^{-1} M_T^H since G is Hermitian
+    a_h, lam = _gram_solve(what, g, m_t.conj().T, dic.size)
+    return a_h.conj().T, lam
 
 
 def fit_analytic(
@@ -74,38 +84,29 @@ def fit_analytic(
 
     When the dictionary is orthonormal under ``measure`` the Gram solve is
     skipped and A equals the transfer matrix exactly.  A numerically singular
-    Gram raises RankDeficiencyError through the projection machinery.
+    Gram raises RankDeficiencyError, orthonormal dictionary or not.
     """
-    if quad_order is not None:
-        order = quad_order
-        g, m_t = _build(system, dic, measure, order)
-    else:
-        order = default_quad_order(system, dic)
-        if order is not None:
-            g, m_t = _build(system, dic, measure, order)
-        else:
-            order = 64
-            while order < dic.size:  # a rule with fewer nodes than N is singular
-                order *= 2
-            g, m_t = _build(system, dic, measure, order)
-            while True:
-                nxt = order * 2
-                if nxt > _MAX_NODES:
-                    warnings.warn(
-                        f"quadrature saturation: {order} nodes reached without "
-                        f"{_AGREEMENT:g} agreement",
-                        QuadratureSaturationWarning,
-                        stacklevel=2,
-                    )
-                    break
-                g2, m2 = _build(system, dic, measure, nxt)
-                prev = _solve(m_t, g, dic, measure)
-                cur = _solve(m2, g2, dic, measure)
-                g, m_t, order = g2, m2, nxt
-                if np.linalg.norm(cur - prev) <= _AGREEMENT:
-                    break
-    a = _solve(m_t, g, dic, measure)
-    lam = np.linalg.eigvalsh(g)
+    order = quad_order if quad_order is not None else default_quad_order(system, dic)
+    escalate = order is None
+    if escalate:
+        order = 64
+        while order < dic.size:  # a rule with fewer nodes than N is singular
+            order *= 2
+    a, lam = _fit(system, dic, measure, order)
+    while escalate:
+        if order * 2 > _MAX_NODES:
+            warnings.warn(
+                f"quadrature saturation: {order} nodes reached without "
+                f"{_AGREEMENT:g} agreement",
+                QuadratureSaturationWarning,
+                stacklevel=2,
+            )
+            break
+        prev = a
+        order *= 2
+        a, lam = _fit(system, dic, measure, order)
+        if np.linalg.norm(a - prev) <= _AGREEMENT:
+            break
     return KoopmanMatrix(
         A=np.ascontiguousarray(a, dtype=complex),
         dictionary=dic,
@@ -113,18 +114,3 @@ def fit_analytic(
         sigma_max=float(lam[-1]),
         sigma_min=float(max(lam[0], 0.0)),
     )
-
-
-def _solve(m_t, g, dic, measure):
-    if dic.orthonormal_wrt == measure:
-        return m_t
-    n = g.shape[0]
-    lam, v = np.linalg.eigh(g)
-    cutoff = n * _EPS * lam[-1]
-    if lam[0] <= cutoff:
-        from .errors import RankDeficiencyError
-
-        cond = np.inf if lam[0] <= 0 else lam[-1] / lam[0]
-        raise RankDeficiencyError("Gram matrix of the dictionary", cond, cutoff)
-    # A = M_T G^{-1} through the eigenfactorization of the Hermitian G
-    return (m_t @ v / lam) @ v.conj().T

@@ -9,8 +9,7 @@ import numpy as np
 
 from . import systems
 from ._table import float_rows, read_table, write_table
-from .dictionary import Dictionary, evaluate_batch
-from .errors import RankDeficiencyError
+from .dictionary import Dictionary, _gram, _gram_solve, evaluate_batch
 from .systems import DynamicalSystem, Measure, as_points, as_state
 
 
@@ -92,16 +91,8 @@ def empirical_project(dic: Dictionary, points, f_values, weights=None) -> np.nda
         if w.shape != (m,):
             raise ValueError("weights length mismatch")
     psi = evaluate_batch(dic, pts)
-    n = psi.shape[0]
-    g = (psi * w) @ psi.conj().T
-    g = 0.5 * (g + g.conj().T)
-    b = (psi * w) @ np.conj(f)
-    lam, v = np.linalg.eigh(g)
-    cutoff = max(n, m) * np.finfo(float).eps * lam[-1]
-    if lam[0] <= cutoff:
-        cond = np.inf if lam[0] <= 0 else lam[-1] / lam[0]
-        raise RankDeficiencyError("empirical Gram matrix", cond, cutoff)
-    return v @ ((v.conj().T @ b) / lam)
+    b = (psi * w) @ np.conj(f)[:, None]
+    return _gram_solve("empirical Gram matrix", _gram(psi, w), b, m)[0][:, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_rank
 from .systems import Domain, Measure, QuadratureRule, as_points, box, circle, uniform
 
 
@@ -97,19 +97,20 @@ def parse_dictionary(spec: str, domain: Domain | None = None) -> Dictionary:
         raise ConfigError(f"invalid dictionary {spec!r}: {exc}") from exc
 
 
-def _legendre_values_derivs(max_deg, t):
-    """Legendre P_k and P_k' on [-1, 1] by the three-term recurrence."""
+def _legendre(max_deg, t, want_deriv):
+    """Legendre P_k on [-1, 1] by the three-term recurrence, and P_k' if wanted."""
     n = max_deg + 1
     P = np.empty((n, t.size))
-    D = np.empty((n, t.size))
+    D = np.zeros((n, t.size)) if want_deriv else None
     P[0] = 1.0
-    D[0] = 0.0
     if n > 1:
         P[1] = t
-        D[1] = 1.0
     for k in range(1, n - 1):
         P[k + 1] = ((2 * k + 1) * t * P[k] - k * P[k - 1]) / (k + 1)
-        D[k + 1] = ((2 * k + 1) * (P[k] + t * D[k]) - k * D[k - 1]) / (k + 1)
+    if want_deriv and n > 1:
+        D[1] = 1.0
+        for k in range(1, n - 1):
+            D[k + 1] = ((2 * k + 1) * (P[k] + t * D[k]) - k * D[k - 1]) / (k + 1)
     return P, D
 
 
@@ -118,12 +119,10 @@ def _eval(dic: Dictionary, x, want_deriv):
         lo, hi = dic.domain.lower[0], dic.domain.upper[0]
         # affine map to the reference interval; orthonormal scale sqrt(2k+1)
         t = (2.0 * x - lo - hi) / (hi - lo)
-        P, D = _legendre_values_derivs(dic.param, t)
+        P, D = _legendre(dic.param, t, want_deriv)
         scale = np.sqrt(2.0 * np.arange(dic.param + 1) + 1.0)[:, None]
-        vals = P * scale
-        if not want_deriv:
-            return vals, None
-        return vals, D * scale * (2.0 / (hi - lo))
+        P *= scale
+        return P, D * scale * (2.0 / (hi - lo)) if want_deriv else None
     if dic.family == "monomial":
         ks = np.arange(dic.param + 1)
         vals = x[None, :] ** ks[:, None]
@@ -186,6 +185,18 @@ def derivative(dic: Dictionary, x) -> np.ndarray:
 
 def gram(dic: Dictionary, rule: QuadratureRule) -> np.ndarray:
     """Quadrature Gram matrix sum_k w_k psi(x_k) psi(x_k)^H, Hermitized."""
-    psi = evaluate_batch(dic, rule.nodes)
-    g = (psi * rule.weights) @ psi.conj().T
+    return _gram(evaluate_batch(dic, rule.nodes), rule.weights)
+
+
+def _gram(psi, weights):
+    g = (psi * weights) @ psi.conj().T
     return 0.5 * (g + g.conj().T)
+
+
+def _gram_solve(what, g, b, count):
+    """Solve G X = B, one column per right-hand side, for a Hermitian G through
+    one eigendecomposition G = V diag(lam) V^H that also serves the rank rule
+    with max(N, count).  Returns X and the ascending eigenvalues."""
+    lam, v = np.linalg.eigh(g)
+    check_rank(what, lam[0], lam[-1], max(g.shape[0], count))
+    return v @ ((v.conj().T @ b) / lam[:, None]), lam

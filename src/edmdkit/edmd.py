@@ -24,7 +24,7 @@ import numpy as np
 from ._table import float_rows, read_table, write_table
 from .data import SnapshotPair
 from .dictionary import Dictionary, evaluate_batch, parse_dictionary
-from .errors import RankDeficiencyError
+from .errors import check_rank
 from .systems import Domain, box, circle
 
 _EPS = np.finfo(float).eps
@@ -36,7 +36,9 @@ class KoopmanMatrix:
 
     ``sigma_max``/``sigma_min`` are the extreme singular values of the object
     whose (pseudo)inversion produced A: the observable matrix psi(X) for
-    sampled fits, the Gram matrix for analytic fits.
+    sampled fits, the Gram matrix for analytic fits.  A sampled fit with
+    fewer snapshots than dictionary elements (M < N) has ``sigma_min`` 0 and
+    an infinite ``condition``.
     """
 
     A: np.ndarray
@@ -62,23 +64,21 @@ def fit_edmd(snapshots: SnapshotPair, dic: Dictionary, tikhonov: float = 0.0) ->
     The Moore-Penrose pseudoinverse is taken through an SVD with relative
     cutoff max(N, M) * eps, so A is always defined and is a minimizer of
     ||A psi(X) - psi(Y)||_F even for rank-deficient data; near-rank-deficiency
-    is recorded in the diagnostics rather than raised.  ``tikhonov`` > 0
-    switches to the regularized normal equations for ill-conditioned user
-    data; the default 0 keeps the exact pseudoinverse solution.
+    is recorded in the diagnostics rather than raised.  ``tikhonov`` = t > 0
+    regularizes ill-conditioned user data by filtering the same SVD, each kept
+    1/s becoming s / (s^2 + t): the solution of the normal equations
+    psi(Y) psi(X)^H (psi(X) psi(X)^H + t I)^{-1} on the unnormalized psi(X).
+    The default 0 keeps the exact pseudoinverse solution.
     """
     psix = evaluate_batch(dic, snapshots.X)
     psiy = evaluate_batch(dic, snapshots.Y)
     n, m = psix.shape
     u, s, vh = np.linalg.svd(psix, full_matrices=False)
     sig_max = float(s[0]) if s.size else 0.0
-    sig_min = float(s[-1]) if s.size else 0.0
-    if tikhonov > 0.0:
-        g = psix @ psix.conj().T + tikhonov * np.eye(n)
-        a = np.linalg.solve(g.conj().T, (psiy @ psix.conj().T).conj().T).conj().T
-    else:
-        cutoff = max(n, m) * _EPS * sig_max
-        keep = s > cutoff
-        a = (psiy @ vh[keep].conj().T / s[keep]) @ u[:, keep].conj().T
+    # with M < N the SVD returns only M values; the N-th one is zero
+    sig_min = float(s[-1]) if m >= n else 0.0
+    keep = s > max(n, m) * _EPS * sig_max
+    a = (psiy @ vh[keep].conj().T / (s[keep] + tikhonov / s[keep])) @ u[:, keep].conj().T
     prov_tail = snapshots.provenance.split(":", 1)[1]
     kind = "sampled" if not snapshots.is_trajectory else "sampled-trajectory"
     return KoopmanMatrix(
@@ -110,11 +110,8 @@ def theorem1_residual(k: KoopmanMatrix, snapshots: SnapshotPair, dic: Dictionary
     psix = evaluate_batch(dic, snapshots.X)
     psiy = evaluate_batch(dic, snapshots.Y)
     n, m = psix.shape
-    s = np.linalg.svd(psix, compute_uv=False)
-    cutoff = max(n, m) * _EPS * s[0]
-    if s[-1] <= cutoff:
-        cond = np.inf if s[-1] == 0 else (s[0] / s[-1]) ** 2
-        raise RankDeficiencyError("empirical Gram matrix", cond, cutoff**2)
+    lam = np.linalg.eigvalsh(psix @ psix.conj().T)
+    check_rank("empirical Gram matrix", lam[0], lam[-1], max(n, m))
     r = psiy - k.A @ psix
     d = (r * (1.0 / m)) @ psix.conj().T
     return float(np.max(np.abs(d)))

@@ -1,4 +1,6 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the rank rule."""
+
+import sys
 
 
 class EdmdkitError(Exception):
@@ -21,6 +23,15 @@ class RankDeficiencyError(EdmdkitError):
             f"{what} is numerically rank deficient "
             f"(condition estimate {condition:.3e}, relative cutoff {cutoff:.3e})"
         )
+
+
+def check_rank(what, low, high, count):
+    """Raise RankDeficiencyError when ``low <= count * eps * high``, the extreme
+    eigenvalues (or singular values) ``low``, ``high`` of an N x N matrix;
+    ``count`` is max(N, M) for a Gram matrix summed over M points."""
+    cutoff = count * sys.float_info.epsilon * high
+    if low <= cutoff:
+        raise RankDeficiencyError(what, float("inf") if low <= 0 else high / low, cutoff)
 
 
 class EigensolverError(EdmdkitError):

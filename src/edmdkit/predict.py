@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import systems
-from .data import empirical_project, generate_iid
-from .dictionary import Dictionary, evaluate_batch, parse_dictionary
+from .data import generate_iid
+from .dictionary import Dictionary, _gram, _gram_solve, evaluate_batch, parse_dictionary
 from .edmd import KoopmanMatrix, fit_edmd
 from .errors import ConfigError
 from .spectral import eig
@@ -133,15 +133,15 @@ def l2_error(
 
 def observable_matrix(f, dic: Dictionary, rule) -> np.ndarray:
     """Rows of coefficients representing f in the dictionary, by quadrature
-    projection; exact whenever f lies in the span."""
+    projection; exact whenever f lies in the span.  Row i is the conjugate of
+    empirical_project(dic, rule.nodes, f_i, rule.weights)."""
     vals = np.asarray(f(rule.nodes))
     if vals.ndim == 1:
         vals = vals[None, :]
-    rows = [
-        np.conj(empirical_project(dic, rule.nodes, vals[i], weights=rule.weights))
-        for i in range(vals.shape[0])
-    ]
-    return np.vstack(rows)
+    psi = evaluate_batch(dic, rule.nodes)
+    b = (psi * rule.weights) @ vals.conj().T
+    c, _ = _gram_solve("empirical Gram matrix", _gram(psi, rule.weights), b, rule.size)
+    return np.ascontiguousarray(c.conj().T)
 
 
 @dataclass(frozen=True)

@@ -22,11 +22,9 @@ from . import systems
 from ._table import float_rows, read_table, write_table
 from .dictionary import derivative_batch, evaluate_batch
 from .edmd import KoopmanMatrix
-from .errors import EigensolverError, RankDeficiencyError
+from .errors import EigensolverError, check_rank
 from .data import SnapshotPair
 from .systems import DynamicalSystem, QuadratureRule
-
-_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -159,10 +157,7 @@ def eigenmeasure_extract(
         )
     if not 0 <= j < decomp.size:
         raise IndexError(f"eigenpair index {j} out of range for size {decomp.size}")
-    cutoff = n * _EPS * k.sigma_max
-    if k.sigma_min <= cutoff:
-        cond = np.inf if k.sigma_min == 0 else k.sigma_max / k.sigma_min
-        raise RankDeficiencyError("psi(X) in the M = N regime", cond, cutoff)
+    check_rank("psi(X) in the M = N regime", k.sigma_min, k.sigma_max, n)
     phi = eigenfunction_values(decomp, j, k.dictionary, snapshots.X)
     # T x_N is the last Y column; no re-application of the map needed
     tail = eigenfunction_values(decomp, j, k.dictionary, snapshots.Y[:, -1:])[0]

@@ -89,17 +89,23 @@ class TestFitAnalytic:
         rot = parse_system("rotation:omega=0.2")
         assert default_quad_order(rot, parse_dictionary("fourier:2", rot.domain)) == 64
 
-    def test_escalation_for_nonpolynomial_map(self):
+    @pytest.mark.parametrize("spec", ["legendre:4", "monomial:4"])
+    def test_escalation_for_nonpolynomial_map(self, spec):
         system = DynamicalSystem(
             name="soft-cosine",
             domain=box(-1.0, 1.0),
             forward=lambda x: np.cos(x) - 0.5,
             forward_batch=lambda p: np.cos(p) - 0.5,
         )
-        dic = parse_dictionary("legendre:4")
+        dic = parse_dictionary(spec)
         k = fit_analytic(system, dic, UNIFORM11)
         k_ref = fit_analytic(system, dic, UNIFORM11, quad_order=256)
         assert np.linalg.norm(k.A - k_ref.A) <= 1e-11
+        # the escalated fit is the fit at the order it reports, bit for bit
+        order = int(k.provenance.split("=")[1])
+        k_at = fit_analytic(system, dic, UNIFORM11, quad_order=order)
+        assert k.A.tobytes() == k_at.A.tobytes()
+        assert (k.sigma_max, k.sigma_min) == (k_at.sigma_max, k_at.sigma_min)
 
     def test_saturation_warning_on_cap(self):
         # a map so rough the escalation cannot settle before the node cap
@@ -113,10 +119,13 @@ class TestFitAnalytic:
         with pytest.warns(QuadratureSaturationWarning):
             fit_analytic(system, dic, UNIFORM11)
 
-    def test_singular_gram_raises(self):
-        dic = parse_dictionary("monomial:3")
+    # a rule with fewer nodes than N leaves the Gram singular, orthonormal
+    # dictionary or not
+    @pytest.mark.parametrize("spec, order", [("monomial:3", 1), ("legendre:8", 4)])
+    def test_singular_gram_raises(self, spec, order):
+        dic = parse_dictionary(spec)
         with pytest.raises(RankDeficiencyError):
-            fit_analytic(LOGISTIC, dic, UNIFORM11, quad_order=1)
+            fit_analytic(LOGISTIC, dic, UNIFORM11, quad_order=order)
 
     def test_consistency_with_sampling(self):
         dic = parse_dictionary("legendre:8")

@@ -78,6 +78,31 @@ class TestFitEdmd:
         b = fit_edmd(pair, dic, tikhonov=1e-9).A
         assert np.max(np.abs(a - b)) <= 1e-7
 
+    @pytest.mark.parametrize("t", [1e-3, 1.0])
+    @pytest.mark.parametrize("case", ["legendre", "fourier"])
+    def test_tikhonov_matches_normal_equations(self, case, t):
+        if case == "legendre":
+            system, dic, mu = LOGISTIC, parse_dictionary("legendre:8"), UNIFORM11
+        else:
+            system = parse_system("rotation:omega=0.7")
+            dic, mu = parse_dictionary("fourier:3", system.domain), uniform(system.domain)
+        pair = generate_iid(system, mu, 200, seed=3)
+        psix = evaluate_batch(dic, pair.X)
+        psiy = evaluate_batch(dic, pair.Y)
+        g = psix @ psix.conj().T + t * np.eye(dic.size)
+        ref = np.linalg.solve(g.T, (psiy @ psix.conj().T).T).T
+        a = fit_edmd(pair, dic, tikhonov=t).A
+        assert np.linalg.norm(a - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_fewer_samples_than_dictionary(self):
+        # M = 5 < N = 9: psi(X) has rank 5, so the fit is not well conditioned
+        pair = generate_iid(LOGISTIC, UNIFORM11, 5, seed=0)
+        dic = parse_dictionary("legendre:8")
+        k = fit_edmd(pair, dic)
+        assert k.sigma_min == 0.0 and k.condition == np.inf
+        with pytest.raises(RankDeficiencyError):
+            theorem1_residual(k, pair, dic)
+
     def test_convergence_to_analytic_along_m(self):
         # median Frobenius gap to the sampling-free matrix shrinks with M
         dic = parse_dictionary("legendre:8")

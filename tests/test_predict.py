@@ -8,6 +8,7 @@ from edmdkit import (
     QuadratureEval,
     apply_operator,
     convergence_sweep,
+    empirical_project,
     evaluate,
     fit_analytic,
     fit_edmd,
@@ -132,8 +133,15 @@ class TestObservableMatrix:
     def test_exact_on_span_members(self):
         dic = parse_dictionary("monomial:3")
         rule = gauss_rule(UNIFORM11, 32)
-        c = observable_matrix(lambda p: 2.0 * p[0] ** 3 - p[0], dic, rule)
+        c = observable_matrix(lambda p: np.vstack([2.0 * p[0] ** 3 - p[0], p[0] ** 2]),
+                              dic, rule)
         assert c[0] == pytest.approx([0.0, -1.0, 0.0, 2.0], abs=1e-12)
+        assert c[1] == pytest.approx([0.0, 0.0, 1.0, 0.0], abs=1e-12)
+        # one solve for all rows gives the per-row projections
+        x = rule.nodes[0]
+        rows = [np.conj(empirical_project(dic, rule.nodes, f, weights=rule.weights))
+                for f in (2.0 * x**3 - x, x**2)]
+        assert np.max(np.abs(c - np.vstack(rows))) <= 1e-13
 
 
 class TestConvergenceSweep:
