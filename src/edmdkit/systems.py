@@ -238,44 +238,112 @@ class QuadratureRule:
         return self.weights.shape[0]
 
 
+_STIELTJES_TERMS = 20  # truncation error below 2e-20 relative from node 11 on
+_EDGE_NODES = 10  # nodes per end where the Stieltjes series is not accurate
+
+
+def _stieltjes(theta, n):
+    """P_n(cos theta) / C_n and its theta-derivative from the Stieltjes series
+
+        sum_{m < M} h_m cos(alpha_m) / (2 sin theta)^(m + 1/2),
+        alpha_m = (n + m + 1/2) theta - (m + 1/2) pi / 2,
+        h_0 = 1,  h_m = h_{m-1} (m - 1/2)^2 / (m (n + m + 1/2)).
+    """
+    sin = np.sin(theta)
+    two_sin = 2.0 * sin
+    cot = np.cos(theta) / sin
+    p = np.zeros_like(theta)
+    dp = np.zeros_like(theta)
+    term = 1.0 / np.sqrt(two_sin)  # h_m / (2 sin theta)^(m + 1/2)
+    for m in range(_STIELTJES_TERMS):
+        if m:
+            term = term * ((m - 0.5) ** 2 / (m * (n + m + 0.5))) / two_sin
+        alpha = (n + m + 0.5) * theta - (m + 0.5) * (0.5 * math.pi)
+        cos_a = np.cos(alpha)
+        p += term * cos_a
+        dp -= term * ((n + m + 0.5) * np.sin(alpha) + (m + 0.5) * cot * cos_a)
+    return p, dp
+
+
+def _newton(evaluate, theta, steps):
+    """``steps`` Newton steps on the roots of ``evaluate``; returns the roots
+    and the derivative there."""
+    for _ in range(steps):
+        p, dp = evaluate(theta)
+        theta = theta - p / dp
+    return theta, evaluate(theta)[1]
+
+
 @lru_cache(maxsize=64)
 def _leggauss(order):
-    """Gauss-Legendre nodes/weights on [-1, 1].
+    """Gauss-Legendre nodes and weights on [-1, 1], ascending and read-only.
 
-    numpy's leggauss runs a dense eigensolve, unusable beyond a few hundred
-    nodes; above that we switch to Newton iteration on the three-term
-    recurrence from the Tricomi cosine initial guesses, which is machine
-    accurate and O(order^2) flops vectorized.  Cached; callers must not
-    mutate the returned arrays (``_axis_rule`` always rescales into copies).
+    Up to 128 nodes this is numpy's ``leggauss`` (a dense eigensolve).  Above
+    that the rule costs O(order): Newton steps in theta, x = cos(theta), from
+    the Tricomi guesses theta_k = pi (4k - 1) / (4 order + 2) on the half
+    theta in (0, pi/2]; the other half is the mirror image, so the rule is
+    exactly symmetric and an odd order has a middle node of exactly 0.0.
+
+    - Interior nodes: three steps on the Stieltjes series of ``_stieltjes``,
+      P_n(cos t) = C_n * series, with
+      C_n = (4/pi) prod_{j<=n} j/(j + 1/2) = (2/sqrt(pi)) Gamma(n+1)/Gamma(n+3/2)
+      summed in logs, exp(fsum(log1p(-1/2 / (j + 1/2)))); ``lgamma`` is good
+      to only about 4e-11 relative at n = 16384.
+    - The ``_EDGE_NODES`` nodes nearest each end, where the series does not
+      converge far enough: four steps on the exact cosine series
+      P_n(cos t) = sum_k a_k a_{n-k} cos((n - 2k) t), a_k = (1/2)_k / k!,
+      whose coefficients are positive and sum to 1; O(order) per node.
+
+    Both step counts are one more than the Tricomi guesses need at every
+    order from 129 to 16384.  The weights are 2 / (dP_n/dt)^2 at the nodes.
+    Against Newton on the three-term recurrence (``tests/_oracles.py``) the
+    nodes agree to 3.4e-16 and the weights to 1.4e-16 absolute for orders
+    129 to 4096.  Against 40-digit values at 129, 257 and 1000 nodes the
+    errors are at most 8.3e-17 and 1.3e-17, where the recurrence's weights
+    are off by up to 1.3e-16.  The moments of x^0 ... x^40 are exact to
+    2e-15 at 16384 nodes.  Cached, so the arrays are shared: they are
+    read-only, and ``_axis_rule`` rescales into new arrays.
     """
     if order <= 128:
-        return np.polynomial.legendre.leggauss(order)
-    k = np.arange(order)
-    x = np.cos(math.pi * (4.0 * k + 3.0) / (4.0 * order + 2.0))
-    for _ in range(5):
-        p_prev = np.ones_like(x)
-        p = x.copy()
-        for m in range(1, order):
-            p_prev, p = p, ((2 * m + 1) * x * p - m * p_prev) / (m + 1)
-        dp = order * (p_prev - x * p) / (1.0 - x * x)
-        dx = p / dp
-        x -= dx
-        if np.max(np.abs(dx)) < 1e-15:
-            break
-    x = 0.5 * (x - x[::-1])  # enforce exact symmetry
-    p_prev = np.ones_like(x)
-    p = x.copy()
-    for m in range(1, order):
-        p_prev, p = p, ((2 * m + 1) * x * p - m * p_prev) / (m + 1)
-    dp = order * (p_prev - x * p) / (1.0 - x * x)
-    w = 2.0 / ((1.0 - x * x) * dp * dp)
-    idx = np.argsort(x)
-    return x[idx], w[idx]
+        x, w = np.polynomial.legendre.leggauss(order)
+    else:
+        n = order
+        theta = math.pi * (4.0 * np.arange(1, (n + 1) // 2 + 1) - 1.0) / (4.0 * n + 2.0)
+        j = np.arange(1, n + 1)
+        c_n = 4.0 / math.pi * math.exp(math.fsum(np.log1p(-0.5 / (j + 0.5))))
+        a = np.cumprod(np.concatenate(([1.0], (j - 0.5) / j)))
+        coef, freq = a * a[::-1], n - 2.0 * np.arange(n + 1)
+
+        def cosine_series(t):
+            # numpy sums, not BLAS: the bits must not depend on the thread count
+            arg = np.multiply.outer(t, freq)
+            p = np.sum(np.cos(arg) * coef, axis=1)
+            return p, -np.sum(np.sin(arg) * (coef * freq), axis=1)
+
+        edge, d_edge = _newton(cosine_series, theta[:_EDGE_NODES], 4)
+        inner, d_inner = _newton(lambda t: _stieltjes(t, n), theta[_EDGE_NODES:], 3)
+        lower = -np.cos(np.concatenate((edge, inner)))  # ascending to the centre
+        half_w = 2.0 / np.concatenate((d_edge, c_n * d_inner)) ** 2
+        if n % 2:
+            lower[-1] = 0.0
+        x = np.concatenate((lower, -lower[: n // 2][::-1]))
+        w = np.concatenate((half_w, half_w[: n // 2][::-1]))
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 def _axis_rule(measure: Measure, axis: int, order: int):
     if measure.kind == "gaussian":
-        t, w = np.polynomial.hermite.hermgauss(order)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            t, w = np.polynomial.hermite.hermgauss(order)
+        # numpy's hermgauss overflows from about 371 nodes on: its weights
+        # come back all zero, then NaN
+        if not (np.all(np.isfinite(w)) and np.sum(w) > 0):
+            raise ConfigError(
+                f"Gauss-Hermite rule of {order} nodes overflows in numpy: "
+                "weights not finite or zero"
+            )
         nodes = measure.mean[axis] + math.sqrt(2.0 * measure.var[axis]) * t
         return nodes, w / math.sqrt(math.pi)
     dom = measure.domain

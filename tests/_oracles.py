@@ -2,8 +2,11 @@
 
 Everything here deliberately avoids the code paths under test: eigenvalues
 come from power iteration with deflation (no LAPACK _geev), projections from
-explicit Gram solves on quadrature grids, moments from closed forms.
+explicit Gram solves on quadrature grids, moments from closed forms,
+Gauss-Legendre rules from Newton steps on the three-term recurrence.
 """
+
+import math
 
 import numpy as np
 
@@ -79,6 +82,32 @@ def set_distance(a, b):
     b = np.asarray(b, dtype=complex).reshape(-1)
     d = np.abs(a[:, None] - b[None, :])
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+
+
+def leggauss_recurrence(order):
+    """Gauss-Legendre nodes and weights on [-1, 1], ascending, by Newton steps
+    in x on the three-term recurrence from the Tricomi guesses.  O(order^2)
+    in a Python loop; the reference for ``systems._leggauss``."""
+    x = np.cos(math.pi * (4.0 * np.arange(order) + 3.0) / (4.0 * order + 2.0))
+    for _ in range(5):
+        p, dp = _legendre_and_derivative(x, order)
+        dx = p / dp
+        x -= dx
+        if np.max(np.abs(dx)) < 1e-15:
+            break
+    x = 0.5 * (x - x[::-1])  # enforce exact symmetry
+    _, dp = _legendre_and_derivative(x, order)
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    idx = np.argsort(x)
+    return x[idx], w[idx]
+
+
+def _legendre_and_derivative(x, order):
+    p_prev = np.ones_like(x)
+    p = x.copy()
+    for m in range(1, order):
+        p_prev, p = p, ((2 * m + 1) * x * p - m * p_prev) / (m + 1)
+    return p, order * (p_prev - x * p) / (1.0 - x * x)
 
 
 def uniform_moment(k):

@@ -103,6 +103,8 @@ class TestExitCodes:
          "--measure", "uniform:0,6", "--M", "100"],
         ["study", "strong-convergence", "--system", "logistic", "--family", "fourier",
          "--measure", "uniform:-1,1", "--N", "3"],
+        ["analytic", "--system", "identity", "--dict", "legendre:2",
+         "--measure", "gaussian:0,0.0001", "--order", "400"],
     ], ids=lambda argv: " ".join(argv))
     def test_bad_input_is_config_error(self, tmp_path, capsys, argv):
         assert run(tmp_path, *argv) == 1

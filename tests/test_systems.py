@@ -17,7 +17,9 @@ from edmdkit import (
     uniform,
 )
 
-from _oracles import uniform_moment
+from edmdkit.systems import _leggauss
+
+from _oracles import leggauss_recurrence, uniform_moment
 
 TWO_PI = 2.0 * math.pi
 
@@ -121,6 +123,59 @@ class TestGaussRule:
         assert rule.nodes.shape == (2, 16)
         val = float(np.sum(rule.weights * rule.nodes[0] ** 2 * rule.nodes[1]))
         assert val == pytest.approx((1.0 / 3.0) * 1.0, abs=1e-13)
+
+
+    @pytest.mark.parametrize("order", [371, 400])
+    def test_gaussian_weight_overflow_is_config_error(self, order):
+        # numpy's hermgauss returns zero weights at 371 nodes and NaN from 372
+        with pytest.raises(ConfigError):
+            gauss_rule(gaussian(0.0, 1.0), order)
+
+
+class TestLegendreNodes:
+    """The O(order) generator above 128 nodes against Newton on the
+    three-term recurrence."""
+
+    @pytest.mark.parametrize("order", [129, 256, 257, 1000, 4096])
+    def test_matches_recurrence(self, order):
+        x, w = _leggauss(order)
+        x_ref, w_ref = leggauss_recurrence(order)
+        assert float(np.max(np.abs(x - x_ref))) <= 1e-15
+        assert float(np.max(np.abs(w - w_ref))) <= 1e-15
+
+    @pytest.mark.parametrize("order", [128, 129])
+    def test_continuous_across_seam(self, order):
+        # numpy's eigensolver up to 128 nodes, the asymptotic generator above:
+        # on both sides each agrees with the other method's values
+        x, w = _leggauss(order)
+        for x_ref, w_ref in [np.polynomial.legendre.leggauss(order), leggauss_recurrence(order)]:
+            assert float(np.max(np.abs(x - x_ref))) <= 1e-14
+            assert float(np.max(np.abs(w - w_ref))) <= 1e-14
+
+    @pytest.mark.parametrize("order", [129, 256, 257, 1000, 4097, 16384])
+    def test_symmetric_ascending_positive(self, order):
+        x, w = _leggauss(order)
+        assert np.array_equal(x, -x[::-1])
+        assert np.array_equal(w, w[::-1])
+        if order % 2:
+            middle = x[order // 2]
+            assert middle == 0.0 and not np.signbit(middle)
+        assert np.all(np.diff(x) > 0)
+        assert np.all(w > 0)
+
+    def test_moments_at_escalation_cap(self):
+        x, w = _leggauss(2**14)
+        assert abs(float(np.sum(w)) - 2.0) <= 1e-14
+        for k in range(41):
+            assert abs(float(np.sum(w * x**k)) - 2.0 * uniform_moment(k)) <= 1e-14
+
+    @pytest.mark.parametrize("order", [64, 256])
+    def test_cached_arrays_are_read_only(self, order):
+        x, w = _leggauss(order)
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        with pytest.raises(ValueError):
+            w[0] = 0.0
 
 
 class TestSample:
