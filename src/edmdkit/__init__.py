@@ -40,6 +40,7 @@ from .errors import (
     DomainEscapeWarning,
     EdmdkitError,
     EigensolverError,
+    NonFiniteError,
     QuadratureSaturationWarning,
     RankDeficiencyError,
 )
@@ -51,7 +52,6 @@ from .predict import (
     convergence_sweep,
     l2_error,
     observable_matrix,
-    parse_eval_spec,
     predict,
 )
 from .spectral import (

@@ -12,8 +12,8 @@ which suppresses the timestamp in that header.
 Configuration files are plain ``key=value`` lines mirroring the long option
 names one-to-one; command-line flags override file values.  Exit status is 1
 for configuration errors and 2 for numerical failures (rank deficiency,
-eigensolver breakdown), never a traceback: bad input is rejected where it is
-parsed.
+eigensolver breakdown, non-finite map images or dictionary values), never a
+traceback: bad input is rejected where it is parsed.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ from .analytic import fit_analytic
 from .data import generate_iid, generate_trajectory
 from .dictionary import parse_dictionary
 from .edmd import fit_edmd, write_koopman_csv
-from .errors import ConfigError, EdmdkitError, EigensolverError, RankDeficiencyError
+from .errors import (ConfigError, EdmdkitError, EigensolverError, NonFiniteError,
+                     RankDeficiencyError)
 from .predict import _family_dictionary, convergence_sweep, observable_matrix, predict
 from .spectral import (
     eig,
@@ -84,7 +85,10 @@ def _finite(text):
 
 
 def _int_list(text):
-    return [_positive(v) for v in text.split(",")]
+    values = [_positive(v) for v in text.split(",")]
+    if len(set(values)) != len(values):
+        raise argparse.ArgumentTypeError(f"repeated value in {text!r}")
+    return values
 
 
 def build_parser() -> _Parser:
@@ -509,7 +513,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"edmdkit: configuration error: {exc}", file=sys.stderr)
         return 1
-    except (RankDeficiencyError, EigensolverError) as exc:
+    except (RankDeficiencyError, EigensolverError, NonFiniteError) as exc:
         print(f"edmdkit: numerical failure: {exc}", file=sys.stderr)
         return 2
     except EdmdkitError as exc:

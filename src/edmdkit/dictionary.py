@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, check_rank
-from .systems import Domain, Measure, QuadratureRule, as_points, box, circle, uniform
+from .errors import ConfigError, NonFiniteError, check_rank
+from .systems import Domain, Measure, QuadratureRule, as_points, as_state, box, circle, uniform
 
 
 @dataclass(frozen=True)
@@ -151,21 +151,20 @@ def evaluate_batch(dic: Dictionary, points) -> np.ndarray:
     """Observable matrix: column j holds the N dictionary values at state j.
 
     Returns an (N, M) array; complex for fourier, real otherwise.  An empty
-    point list yields an (N, 0) matrix.
+    point list yields an (N, 0) matrix.  A non-finite value raises
+    NonFiniteError.
     """
     pts = as_points(points, 1)
     vals, _ = _eval(dic, pts[0], want_deriv=False)
     if not np.all(np.isfinite(vals)):
-        raise ValueError("dictionary evaluation produced non-finite values")
+        raise NonFiniteError(f"{dic.spec_string}: dictionary evaluation produced "
+                             "non-finite values")
     return vals
 
 
 def evaluate(dic: Dictionary, x) -> np.ndarray:
     """Dictionary values at a single state, as a length-N vector."""
-    s = np.atleast_1d(np.asarray(x, dtype=float))
-    if s.size != 1:
-        raise ValueError(f"state has dimension {s.size}, expected 1")
-    return evaluate_batch(dic, s[:, None])[:, 0]
+    return evaluate_batch(dic, as_state(x, 1)[:, None])[:, 0]
 
 
 def derivative_batch(dic: Dictionary, points) -> np.ndarray:
@@ -177,10 +176,7 @@ def derivative_batch(dic: Dictionary, points) -> np.ndarray:
 
 def derivative(dic: Dictionary, x) -> np.ndarray:
     """Gradient rows at a single state: (N, d)."""
-    s = np.atleast_1d(np.asarray(x, dtype=float))
-    if s.size != 1:
-        raise ValueError(f"state has dimension {s.size}, expected 1")
-    return derivative_batch(dic, s[:, None])[:, :, 0]
+    return derivative_batch(dic, as_state(x, 1)[:, None])[:, :, 0]
 
 
 def gram(dic: Dictionary, rule: QuadratureRule) -> np.ndarray:

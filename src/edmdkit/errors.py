@@ -53,6 +53,11 @@ class ConfigError(EdmdkitError):
     """Invalid experiment configuration."""
 
 
+class NonFiniteError(EdmdkitError, ValueError):
+    """A map image or a dictionary value is not finite: the iteration or the
+    evaluation overflowed."""
+
+
 class DomainEscapeWarning(UserWarning):
     """States left the declared domain during iteration; reported, not fatal."""
 

@@ -37,19 +37,6 @@ class MonteCarloEval:
     seed: int
 
 
-def parse_eval_spec(spec: str):
-    name, _, body = spec.partition(":")
-    try:
-        if name == "quadrature":
-            return QuadratureEval(int(body))
-        if name == "monte-carlo":
-            count_s, seed_s = body.split(",")
-            return MonteCarloEval(int(count_s), int(seed_s))
-    except ValueError as exc:
-        raise ConfigError(f"malformed eval spec {spec!r}") from exc
-    raise ConfigError(f"unknown eval spec {spec!r}")
-
-
 @dataclass(frozen=True)
 class PredictionResult:
     """Per-step predictions C A^i psi(x0) against the iterated truth."""
@@ -69,30 +56,34 @@ def _as_observable_rows(c, n_dict):
     return c
 
 
-def predict(k: KoopmanMatrix, c, x0, horizon: int, dic: Dictionary | None = None,
-            system: DynamicalSystem | None = None) -> PredictionResult:
-    """Iterate the Koopman prediction and the true dynamics side by side.
+def _rollout(k: KoopmanMatrix, cmat, dic: Dictionary, system: DynamicalSystem, points,
+             horizon: int):
+    """Yield (C A^i psi(points), C psi(T^i points)) for i = 1 .. horizon, each
+    (n, M): the Koopman prediction and the truth at every column of
+    ``points``, the truth by direct iteration of the batch map."""
+    z = evaluate_batch(dic, points).astype(complex)
+    for _ in range(horizon):
+        z = k.A @ z
+        points = systems.apply_batch(system, points)
+        yield cmat @ z, cmat @ evaluate_batch(dic, points)
+
+
+def predict(k: KoopmanMatrix, c, x0, horizon: int, dic: Dictionary,
+            system: DynamicalSystem) -> PredictionResult:
+    """Iterate the Koopman prediction and the true dynamics side by side: the
+    rollout of ``l2_error`` from the one point x0.
 
     ``system`` supplies the truth trajectory; it must be the map the matrix
     was fitted to for the error column to mean anything.
     """
-    if system is None:
-        raise ValueError("predict requires the system for the truth trajectory")
-    dic = dic if dic is not None else k.dictionary
     cmat = _as_observable_rows(c, dic.size)
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     x = as_state(x0, system.dimension)
-    z = evaluate_batch(dic, x[:, None])[:, 0].astype(complex)
-    n_out = cmat.shape[0]
-    predicted = np.empty((horizon, n_out), dtype=complex)
-    truth = np.empty((horizon, n_out), dtype=complex)
-    state = x
-    for i in range(horizon):
-        z = k.A @ z
-        state = systems.apply(system, state)
-        predicted[i] = cmat @ z
-        truth[i] = cmat @ evaluate_batch(dic, state[:, None])[:, 0]
+    predicted = np.empty((horizon, cmat.shape[0]), dtype=complex)
+    truth = np.empty_like(predicted)
+    for i, (pred, true) in enumerate(_rollout(k, cmat, dic, system, x[:, None], horizon)):
+        predicted[i], truth[i] = pred[:, 0], true[:, 0]
     errors = np.linalg.norm(predicted - truth, axis=1)
     return PredictionResult(horizon, predicted, truth, errors)
 
@@ -120,14 +111,9 @@ def l2_error(
         w = np.full(eval_spec.count, 1.0 / eval_spec.count)
     else:
         raise TypeError(f"unsupported eval spec {eval_spec!r}")
-    z = evaluate_batch(dic, pts).astype(complex)
-    states = pts
     out = np.empty(horizon)
-    for i in range(horizon):
-        z = k.A @ z
-        states = systems.apply_batch(system, states)
-        diff = cmat @ z - cmat @ evaluate_batch(dic, states)
-        out[i] = np.sqrt(float(np.sum(w * np.sum(np.abs(diff) ** 2, axis=0))))
+    for i, (pred, true) in enumerate(_rollout(k, cmat, dic, system, pts, horizon)):
+        out[i] = np.sqrt(float(np.sum(w * np.sum(np.abs(pred - true) ** 2, axis=0))))
     return out
 
 

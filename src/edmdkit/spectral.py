@@ -90,7 +90,8 @@ def eigenfunction_values(decomp: SpectralDecomp, j: int, dic, points) -> np.ndar
 
 
 def evaluate_eigenfunction(decomp: SpectralDecomp, j: int, dic, x) -> complex:
-    s = np.atleast_1d(np.asarray(x, dtype=float))
+    """phi_j at a single state: ``eigenfunction_values`` on one column."""
+    s = systems.as_state(x, dic.domain.dimension)
     return complex(eigenfunction_values(decomp, j, dic, s[:, None])[0])
 
 

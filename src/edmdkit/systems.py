@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DomainEscapeWarning
+from .errors import ConfigError, DomainEscapeWarning, NonFiniteError
 
 TWO_PI = 2.0 * math.pi
 
@@ -75,11 +75,11 @@ def circle(dimension=1) -> Domain:
 class DynamicalSystem:
     """Discrete-time map x+ = T(x) on a domain.
 
-    ``forward`` acts on a single state (1-D array); ``forward_batch``, when
-    given, acts on a ``(d, M)`` array of states and must agree with column-wise
-    application of ``forward``.  ``polynomial_degree`` is the per-axis
-    polynomial degree of T when T is polynomial; it drives exact quadrature
-    order selection.
+    ``forward_batch`` acts on a ``(d, M)`` array of states, one per column.
+    ``forward`` acts on a single state (1-D array) and is used only when
+    ``forward_batch`` is None, column by column.  ``polynomial_degree`` is the
+    per-axis polynomial degree of T when T is polynomial; it drives exact
+    quadrature order selection.
     """
 
     name: str
@@ -118,14 +118,13 @@ def as_points(points, dimension=None):
 
 
 def apply(system: DynamicalSystem, x) -> np.ndarray:
-    """One step of the map.  A result outside the domain is reported through a
-    DomainEscapeWarning, not an error, so long-horizon studies keep running."""
+    """One step of the map: ``apply_batch`` on one column.  A result outside
+    the domain is reported through a DomainEscapeWarning, not an error, so
+    long-horizon studies keep running; a non-finite one raises NonFiniteError."""
     s = as_state(x, system.dimension)
-    y = system.domain.wrap(as_state(system.forward(s), system.dimension))
-    if not bool(system.domain.contains(y[:, None], tol=1e-9)[0]):
-        warnings.warn(
-            f"{system.name}: image {y} left the domain", DomainEscapeWarning, stacklevel=2
-        )
+    y = apply_batch(system, s[:, None])[:, 0]
+    if not np.all(np.isfinite(y)):
+        raise NonFiniteError(f"{system.name}: the image of {s} is not finite")
     return y
 
 
@@ -386,47 +385,11 @@ def gauss_rule(measure: Measure, order: int) -> QuadratureRule:
 # registry: systems and measures selected by string identifiers
 
 
-def _logistic():
-    dom = box(-1.0, 1.0)
-    return DynamicalSystem(
-        name="logistic",
-        domain=dom,
-        forward=lambda x: 2.0 * x * x - 1.0,
-        forward_batch=lambda p: 2.0 * p * p - 1.0,
-        polynomial_degree=2,
-    )
-
-
-def _identity():
-    dom = box(-1.0, 1.0)
-    return DynamicalSystem(
-        name="identity",
-        domain=dom,
-        forward=lambda x: x,
-        forward_batch=lambda p: p,
-        polynomial_degree=1,
-    )
-
-
-def _rotation(omega):
-    dom = circle(1)
-    return DynamicalSystem(
-        name=f"rotation:omega={omega!r}",
-        domain=dom,
-        forward=lambda x: x + omega,
-        forward_batch=lambda p: p + omega,
-    )
-
-
-def _affine(a, b):
-    dom = box(-1.0, 1.0)
-    return DynamicalSystem(
-        name=f"affine:a={a!r},b={b!r}",
-        domain=dom,
-        forward=lambda x: a * x + b,
-        forward_batch=lambda p: a * p + b,
-        polynomial_degree=1,
-    )
+def _system(name, domain, step, degree=None):
+    """A registered system: the one vectorized map ``step`` serves a single
+    state and a batch alike."""
+    return DynamicalSystem(name, domain, forward=step, forward_batch=step,
+                           polynomial_degree=degree)
 
 
 def _number(text, spec):
@@ -457,19 +420,21 @@ def parse_system(spec: str) -> DynamicalSystem:
     """
     name, _, body = spec.partition(":")
     if name == "logistic":
-        return _logistic()
+        return _system("logistic", box(-1.0, 1.0), lambda x: 2.0 * x * x - 1.0, 2)
     if name == "identity":
-        return _identity()
+        return _system("identity", box(-1.0, 1.0), lambda x: x, 1)
     if name == "rotation":
         kv = _parse_kv(body, spec)
         if set(kv) != {"omega"}:
             raise ConfigError(f"rotation takes omega=<float>, got {spec!r}")
-        return _rotation(kv["omega"])
+        omega = kv["omega"]
+        return _system(f"rotation:omega={omega!r}", circle(1), lambda x: x + omega)
     if name == "affine":
         kv = _parse_kv(body, spec)
         if set(kv) != {"a", "b"}:
             raise ConfigError(f"affine takes a=<float>,b=<float>, got {spec!r}")
-        return _affine(kv["a"], kv["b"])
+        a, b = kv["a"], kv["b"]
+        return _system(f"affine:a={a!r},b={b!r}", box(-1.0, 1.0), lambda x: a * x + b, 1)
     raise ConfigError(f"unknown system {spec!r}")
 
 

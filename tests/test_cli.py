@@ -1,3 +1,6 @@
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,7 +13,8 @@ ROTATION = ["--system", "rotation:omega=0.8378", "--family", "fourier"]
 STRONG = ["study", "strong-convergence", "--system", "logistic", "--family", "legendre",
           "--measure", "uniform:-1,1"]
 
-# the CLI section of README.md, verbatim
+# the CLI section of README.md, verbatim; CI reruns this list with one and two
+# BLAS threads
 README_COMMANDS = {
     "edmd": ["edmd", *TRIPLE, "--M", "1000", "--seed", "0"],
     "analytic": ["analytic", *TRIPLE],
@@ -105,10 +109,34 @@ class TestExitCodes:
          "--measure", "uniform:-1,1", "--N", "3"],
         ["analytic", "--system", "identity", "--dict", "legendre:2",
          "--measure", "gaussian:0,0.0001", "--order", "400"],
+        ["study", "mc-rate", *TRIPLE, "--M", "100,100", "--seeds", "1"],
+        [*STRONG, "--N", "3,3"],
     ], ids=lambda argv: " ".join(argv))
     def test_bad_input_is_config_error(self, tmp_path, capsys, argv):
         assert run(tmp_path, *argv) == 1
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["predict", "--system", "affine:a=3,b=0", "--dict", "legendre:2",
+         "--measure", "uniform:-1,1", "--x0", "0.5", "--horizon", "1000", "--M", "100"],
+        ["eigenmeasure", "--system", "affine:a=3,b=0", "--family", "legendre",
+         "--N", "800", "--x0", "0.5"],
+        ["edmd", *TRIPLE[:4], "--measure", "gaussian:0,1e300", "--M", "100"],
+    ], ids=lambda argv: " ".join(argv))
+    @pytest.mark.filterwarnings("ignore")
+    def test_non_finite_values_are_numerical_failure(self, tmp_path, capsys, argv):
+        assert run(tmp_path, *argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("edmdkit: numerical failure:") and err.count("\n") == 1
+
+
+def test_readme_commands_match_readme():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```bash\n# single fits\n", 1)[1].split("```", 1)[0]
+    lines = [ln for ln in block.replace("\\\n", " ").splitlines()
+             if ln.strip() and not ln.startswith("#")]
+    assert [shlex.split(ln)[1:] for ln in lines] == list(README_COMMANDS.values())
+    assert all(shlex.split(ln)[0] == "edmdkit" for ln in lines)
 
 
 class TestValidate:

@@ -17,10 +17,10 @@ from edmdkit import (
     l2_error,
     observable_matrix,
     parse_dictionary,
-    parse_eval_spec,
     parse_measure,
     parse_system,
     predict,
+    sample,
     uniform,
 )
 
@@ -117,9 +117,26 @@ class TestL2Error:
                 continue
             assert abs(q - m) / q <= 0.03
 
-    def test_parse_eval_spec(self):
-        assert parse_eval_spec("quadrature:64") == QuadratureEval(64)
-        assert parse_eval_spec("monte-carlo:1000,7") == MonteCarloEval(1000, 7)
+    @pytest.mark.parametrize("spec", ["legendre", "fourier"])
+    def test_one_point_monte_carlo_is_predict(self, spec):
+        # predict is the one-column case of the rollout l2_error integrates
+        if spec == "legendre":
+            system, measure, dic = LOGISTIC, UNIFORM11, parse_dictionary("legendre:8")
+            k = fit_edmd(generate_iid(system, measure, 500, seed=2), dic)
+            c = coordinate_observable(dic, measure)
+        else:
+            system = parse_system("rotation:omega=0.8378")
+            measure, dic = uniform(system.domain), parse_dictionary("fourier:3", system.domain)
+            # the span is invariant: a Tikhonov-shrunk fit keeps the errors off roundoff
+            k = fit_edmd(generate_iid(system, measure, 500, seed=2), dic, tikhonov=0.05)
+            c = observable_matrix(lambda p: np.exp(1j * p[0]) + np.cos(2.0 * p[0]), dic,
+                                  gauss_rule(measure, 64))
+        for seed in (0, 5, 9):
+            x0 = sample(measure, 1, seed)[:, 0]
+            res = predict(k, c, x0, 8, dic, system)
+            errs = l2_error(k, c, dic, system, measure, 8, MonteCarloEval(1, seed))
+            assert np.all(np.abs(res.errors - errs) <= 1e-14 * np.abs(errs))
+            assert np.max(errs) > 1e-6
 
 
 class TestObservableMatrix:

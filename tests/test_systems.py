@@ -6,7 +6,10 @@ import pytest
 from edmdkit import (
     ConfigError,
     DomainEscapeWarning,
+    DynamicalSystem,
+    NonFiniteError,
     apply,
+    apply_batch,
     box,
     gauss_rule,
     gaussian,
@@ -50,6 +53,29 @@ class TestApply:
         with pytest.warns(DomainEscapeWarning):
             y = apply(system, [0.9])
         assert y[0] == pytest.approx(2.7)
+
+    @pytest.mark.parametrize("spec", ["logistic", "identity", "rotation:omega=0.8378",
+                                      "affine:a=0.5,b=0.25", "forward-only"])
+    def test_single_state_is_batch_on_one_column(self, spec):
+        if spec == "forward-only":
+            # no forward_batch: apply_batch falls back to forward per column
+            system = DynamicalSystem("forward-only", box(-1.0, 1.0),
+                                     forward=lambda x: np.sin(3.0 * x) * 0.9)
+        else:
+            system = parse_system(spec)
+        pts = sample(uniform(system.domain), 50, seed=11)
+        batch = apply_batch(system, pts)
+        for j in range(pts.shape[1]):
+            x = pts[:, j]
+            assert apply(system, x).tobytes() == apply_batch(system, x[:, None])[:, 0].tobytes()
+            assert apply(system, x).tobytes() == batch[:, j].tobytes()
+
+    def test_non_finite_image_raises(self):
+        system = parse_system("affine:a=3,b=0")
+        with pytest.warns(DomainEscapeWarning), pytest.raises(NonFiniteError), \
+                np.errstate(over="ignore"):
+            apply(system, [1e308])
+        assert issubclass(NonFiniteError, ValueError)
 
 
 class TestIterate:
