@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 from .analytic import default_quad_order, fit_analytic, transfer_matrix
 from .data import (
     SnapshotPair,
-    empirical_project,
     generate_iid,
     generate_trajectory,
     read_snapshots_csv,
@@ -48,8 +47,6 @@ from .predict import (
     MonteCarloEval,
     PredictionResult,
     QuadratureEval,
-    SweepRow,
-    convergence_sweep,
     l2_error,
     observable_matrix,
     predict,
@@ -61,13 +58,19 @@ from .spectral import (
     eig,
     eigenfunction_values,
     eigenmeasure_extract,
-    evaluate_eigenfunction,
     hausdorff,
     oscillation_seminorm,
     pf_check,
     read_spectrum_csv,
     write_eigenmeasure_csv,
     write_spectrum_csv,
+)
+from .studies import (
+    SweepRow,
+    convergence_sweep,
+    mc_rate_study,
+    prediction_study,
+    spectra_study,
 )
 from .systems import (
     Domain,
@@ -80,7 +83,6 @@ from .systems import (
     circle,
     gauss_rule,
     gaussian,
-    iterate,
     parse_measure,
     parse_system,
     sample,

@@ -12,8 +12,12 @@ which suppresses the timestamp in that header.
 Configuration files are plain ``key=value`` lines mirroring the long option
 names one-to-one; command-line flags override file values.  Exit status is 1
 for configuration errors and 2 for numerical failures (rank deficiency,
-eigensolver breakdown, non-finite map images or dictionary values), never a
-traceback: bad input is rejected where it is parsed.
+eigensolver breakdown, non-finite map images, dictionary values or
+predictions), never a traceback: bad input is rejected where it is parsed.
+
+Handlers are parse -> call -> write: each parses its arguments, calls the
+library (each study is one call into :mod:`edmdkit.studies`) and writes what
+comes back; no handler loops over sample counts, dictionary sizes or seeds.
 """
 
 from __future__ import annotations
@@ -36,15 +40,11 @@ from .dictionary import parse_dictionary
 from .edmd import fit_edmd, write_koopman_csv
 from .errors import (ConfigError, EdmdkitError, EigensolverError, NonFiniteError,
                      RankDeficiencyError)
-from .predict import _family_dictionary, convergence_sweep, observable_matrix, predict
-from .spectral import (
-    eig,
-    eigenmeasure_extract,
-    hausdorff,
-    pf_check,
-    write_eigenmeasure_csv,
-    write_spectrum_csv,
-)
+from .predict import predict
+from .spectral import (eig, eigenmeasure_extract, pf_check, write_eigenmeasure_csv,
+                       write_spectrum_csv)
+from .studies import (_default_observable, _family_dictionary, _observable, convergence_sweep,
+                      mc_rate_study, prediction_study, spectra_study)
 from .svgplot import write_spectrum_svg
 
 OUTDIR_ENV = "EDMDKIT_OUTDIR"
@@ -106,58 +106,65 @@ def build_parser() -> _Parser:
     p = _Parser(prog="edmdkit", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="mode", required=True)
 
-    def add(name, *parents, **kw):
-        return sub.add_parser(name, parents=[*parents, common], **kw)
+    def add(subparsers, name, handler, *parents, **kw):
+        q = subparsers.add_parser(name, parents=[*parents, common], **kw)
+        q.set_defaults(handler=handler)
+        return q
 
-    q = add("edmd", triple, help="fit a sampled Koopman matrix and write it as CSV")
+    q = add(sub, "edmd", _cmd_edmd, triple,
+            help="fit a sampled Koopman matrix and write it as CSV")
     q.add_argument("--M", type=_positive, required=True)
     q.add_argument("--seed", type=_nonnegative, default=0)
     q.add_argument("--tikhonov", type=_finite, default=0.0)
     q.add_argument("--out", default="edmd_matrix.csv")
 
-    q = add("analytic", triple, help="build the sampling-free Koopman matrix")
+    q = add(sub, "analytic", _cmd_analytic, triple,
+            help="build the sampling-free Koopman matrix")
     q.add_argument("--order", type=_positive)
     q.add_argument("--out", default="analytic_matrix.csv")
 
-    q = add("spectrum", triple, help="eigendecompose a fit and emit CSV + SVG")
+    q = add(sub, "spectrum", _cmd_spectrum, triple,
+            help="eigendecompose a fit and emit CSV + SVG")
     q.add_argument("--analytic", action="store_true")
     q.add_argument("--M", type=_positive)
     q.add_argument("--seed", type=_nonnegative, default=0)
     q.add_argument("--order", type=_positive)
 
-    q = add("predict", triple, help="finite-horizon prediction against the true trajectory")
+    q = add(sub, "predict", _cmd_predict, triple,
+            help="finite-horizon prediction against the true trajectory")
     q.add_argument("--x0", type=_finite, required=True)
     q.add_argument("--horizon", type=_nonnegative, required=True)
     q.add_argument("--analytic", action="store_true")
     q.add_argument("--M", type=_positive)
     q.add_argument("--seed", type=_nonnegative, default=0)
 
-    q = add("eigenmeasure", help="single-trajectory (M = N) eigenmeasure extraction")
+    q = add(sub, "eigenmeasure", _cmd_eigenmeasure,
+            help="single-trajectory (M = N) eigenmeasure extraction")
     q.add_argument("--system", required=True)
     q.add_argument("--family", required=True, choices=["legendre", "monomial", "fourier"])
     q.add_argument("--N", type=_positive, required=True)
     q.add_argument("--x0", type=_finite, required=True)
     q.add_argument("--pair", type=_nonnegative, default=0)
 
-    st = add("study", help="multi-cell experiment studies")
+    st = sub.add_parser("study", parents=[common], help="multi-cell experiment studies")
     stsub = st.add_subparsers(dest="study_kind", required=True)
 
-    q = stsub.add_parser("spectra", parents=[triple, common])
+    q = add(stsub, "spectra", _cmd_study_spectra, triple)
     q.add_argument("--M", type=_int_list, required=True)
     q.add_argument("--seeds", type=_positive, default=5)
     q.add_argument("--order", type=_positive)
 
-    q = stsub.add_parser("prediction", parents=[triple, common])
+    q = add(stsub, "prediction", _cmd_study_prediction, triple)
     q.add_argument("--M", type=_int_list, required=True)
     q.add_argument("--seed", type=_nonnegative, default=0)
     q.add_argument("--x0", type=_finite, required=True)
     q.add_argument("--horizon", type=_nonnegative, default=10)
 
-    q = stsub.add_parser("mc-rate", parents=[triple, common])
+    q = add(stsub, "mc-rate", _cmd_study_mc_rate, triple)
     q.add_argument("--M", type=_int_list, required=True)
     q.add_argument("--seeds", type=_positive, default=5)
 
-    q = stsub.add_parser("strong-convergence", parents=[common])
+    q = add(stsub, "strong-convergence", _cmd_study_strong)
     q.add_argument("--system", required=True)
     q.add_argument("--family", required=True)
     q.add_argument("--measure", required=True)
@@ -166,7 +173,8 @@ def build_parser() -> _Parser:
     q.add_argument("--seeds", type=_positive, default=1)
     q.add_argument("--horizon", type=_nonnegative, default=5)
 
-    q = add("validate", help="report configuration diagnostics without running")
+    q = add(sub, "validate", _cmd_validate,
+            help="report configuration diagnostics without running")
     q.add_argument("--system")
     q.add_argument("--dict", dest="dict_spec")
     q.add_argument("--measure")
@@ -250,20 +258,6 @@ def _write(path, header, body_writer):
     print(path)
 
 
-def _default_observable(system):
-    """State coordinate on boxes, the first harmonic on circles."""
-    if system.domain.kind == "circle":
-        return lambda pts: np.exp(1j * pts[0])
-    return lambda pts: pts[0]
-
-
-def _observable(system, dic, measure):
-    """Coefficients of the default observable, projected with a Gauss rule
-    of at least twice the dictionary size."""
-    return observable_matrix(_default_observable(system), dic,
-                             systems.gauss_rule(measure, max(64, 2 * dic.size)))
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -326,7 +320,7 @@ def _cmd_spectrum(args):
 def _cmd_predict(args):
     system, dic, measure = _parse_triple(args)
     k = _fit_for(args, system, dic, measure)
-    result = predict(k, _observable(system, dic, measure), np.array([args.x0]),
+    result = predict(k, _observable(_default_observable(system), dic, measure), [args.x0],
                      args.horizon, dic, system)
     params = _triple_params(args, x0=args.x0, horizon=args.horizon, provenance=k.provenance)
     columns = ["step", "truth_re", "truth_im", "pred_re", "pred_im", "abs_error"]
@@ -359,46 +353,28 @@ def _cmd_eigenmeasure(args):
 
 def _cmd_study_spectra(args):
     system, dic, measure = _parse_triple(args)
-    k_an = fit_analytic(system, dic, measure, quad_order=args.order)
-    spec_an = eig(k_an).eigenvalues
+    spec_an, sampled, rows = spectra_study(system, dic, measure, args.M, range(args.seeds),
+                                           args.order)
     out = _outdir(args)
     params = _triple_params(args, M=",".join(map(str, args.M)), seeds=args.seeds)
-    rows = []
-    for m in args.M:
-        first = None
-        for seed in range(args.seeds):
-            k = fit_edmd(generate_iid(system, measure, m, seed), dic)
-            spec = eig(k).eigenvalues
-            if first is None:
-                first = spec
-            rows.append((m, seed, hausdorff(spec, spec_an)))
+    header = _header(args, params)
+    for m, spec in sampled.items():
         _write(out / f"spectra_M{m}.svg", "",
-               lambda f, m=m, first=first: write_spectrum_svg(
-                   f,
-                   [("analytic", spec_an, "circle"), (f"sampled M={m}", first, "cross")],
-                   title=f"{args.system} spectra, M={m}",
-                   comment=_header(args, params).strip("#\n ")))
-    _write(out / "hausdorff.csv", _header(args, params),
+               lambda f: write_spectrum_svg(
+                   f, [("analytic", spec_an, "circle"), (f"sampled M={m}", spec, "cross")],
+                   title=f"{args.system} spectra, M={m}", comment=header.strip("#\n ")))
+    _write(out / "hausdorff.csv", header,
            lambda f: write_table(f, ["M", "seed", "hausdorff"], rows))
     return 0
 
 
 def _cmd_study_prediction(args):
     system, dic, measure = _parse_triple(args)
-    cmat = _observable(system, dic, measure)
-    x0 = np.array([args.x0])
-    k_an = fit_analytic(system, dic, measure)
-    res_an = predict(k_an, cmat, x0, args.horizon, dic, system)
-    sampled = []
-    for m in args.M:
-        k = fit_edmd(generate_iid(system, measure, m, args.seed), dic)
-        sampled.append(predict(k, cmat, x0, args.horizon, dic, system))
+    rows = prediction_study(system, dic, measure, args.M, args.seed, [args.x0], args.horizon)
     params = _triple_params(args, M=",".join(map(str, args.M)), seed=args.seed, x0=args.x0,
                             horizon=args.horizon)
     columns = ["step", "truth_re", "truth_im", "analytic_re", "analytic_im",
                *(f"M{m}_{part}" for m in args.M for part in ("re", "im"))]
-    rows = zip(range(1, args.horizon + 1), res_an.truth[:, 0].tolist(),
-               res_an.predicted[:, 0].tolist(), *(r.predicted[:, 0].tolist() for r in sampled))
     _write(_outdir(args) / "prediction_study.csv", _header(args, params),
            lambda f: write_table(f, columns, rows))
     return 0
@@ -406,17 +382,7 @@ def _cmd_study_prediction(args):
 
 def _cmd_study_mc_rate(args):
     system, dic, measure = _parse_triple(args)
-    k_an = fit_analytic(system, dic, measure)
-    rows = []
-    medians = []
-    for m in args.M:
-        gaps = []
-        for seed in range(args.seeds):
-            k = fit_edmd(generate_iid(system, measure, m, seed), dic)
-            gaps.append(float(np.linalg.norm(k.A - k_an.A)))
-            rows.append((m, seed, gaps[-1]))
-        medians.append(float(np.median(gaps)))
-    slope = float(np.polyfit(np.log(args.M), np.log(medians), 1)[0]) if len(args.M) > 1 else 0.0
+    rows, slope = mc_rate_study(system, dic, measure, args.M, range(args.seeds))
     params = _triple_params(args, M=",".join(map(str, args.M)), seeds=args.seeds)
     _write(_outdir(args) / "mc_rate.csv", _header(args, params),
            lambda f: write_table(f, ["M", "seed", "frob_gap"], rows))
@@ -485,31 +451,12 @@ def _cmd_validate(args):
     return 0
 
 
-_HANDLERS = {
-    "edmd": _cmd_edmd,
-    "analytic": _cmd_analytic,
-    "spectrum": _cmd_spectrum,
-    "predict": _cmd_predict,
-    "eigenmeasure": _cmd_eigenmeasure,
-    "validate": _cmd_validate,
-}
-
-_STUDY_HANDLERS = {
-    "spectra": _cmd_study_spectra,
-    "prediction": _cmd_study_prediction,
-    "mc-rate": _cmd_study_mc_rate,
-    "strong-convergence": _cmd_study_strong,
-}
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         argv = _inject_config(argv)
         args = build_parser().parse_args(argv)
-        if args.mode == "study":
-            return _STUDY_HANDLERS[args.study_kind](args)
-        return _HANDLERS[args.mode](args)
+        return args.handler(args)
     except ConfigError as exc:
         print(f"edmdkit: configuration error: {exc}", file=sys.stderr)
         return 1

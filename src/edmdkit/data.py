@@ -1,4 +1,4 @@
-"""Snapshot generation and empirical least-squares projection."""
+"""Snapshot generation and the snapshot CSV format."""
 
 from __future__ import annotations
 
@@ -9,8 +9,7 @@ import numpy as np
 
 from . import systems
 from ._table import float_rows, read_table, write_table
-from .dictionary import Dictionary, _gram, _gram_solve, evaluate_batch
-from .systems import DynamicalSystem, Measure, as_points, as_state
+from .systems import DynamicalSystem, Measure, as_state
 
 
 @dataclass(frozen=True)
@@ -64,35 +63,6 @@ def generate_trajectory(system: DynamicalSystem, x0, count: int) -> SnapshotPair
     return SnapshotPair(
         seq[:, :-1].copy(), seq[:, 1:].copy(), f"trajectory:x0={x0_label};M={count}"
     )
-
-
-def empirical_project(dic: Dictionary, points, f_values, weights=None) -> np.ndarray:
-    """Coefficients c of the weighted least-squares fit c^H psi ~ f.
-
-    With the default uniform weights 1/M this is the projection in the
-    empirical measure on the points; passing quadrature weights gives the
-    projection in the quadrature-realized measure.  The residual is orthogonal
-    to every dictionary element under the same weights.
-
-    The Gram matrix (sum_k w_k psi(x_k) psi(x_k)^H) is inverted through its
-    symmetric eigendecomposition with relative cutoff
-    max(N, M) * eps * lambda_max; any eigenvalue at or below the cutoff raises
-    RankDeficiencyError instead of silently pseudo-inverting.
-    """
-    pts = as_points(points)
-    f = np.asarray(f_values)
-    m = pts.shape[1]
-    if f.shape != (m,):
-        raise ValueError(f"f_values must have shape ({m},), got {f.shape}")
-    if weights is None:
-        w = np.full(m, 1.0 / m)
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (m,):
-            raise ValueError("weights length mismatch")
-    psi = evaluate_batch(dic, pts)
-    b = (psi * w) @ np.conj(f)[:, None]
-    return _gram_solve("empirical Gram matrix", _gram(psi, w), b, m)[0][:, 0]
 
 
 # ---------------------------------------------------------------------------

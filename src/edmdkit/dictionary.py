@@ -52,10 +52,6 @@ class Dictionary:
         return self.param + 1
 
     @property
-    def is_complex(self):
-        return self.family == "fourier"
-
-    @property
     def orthonormal_wrt(self) -> Measure | None:
         """The measure this family is orthonormal under, if any."""
         if self.family in ("legendre", "fourier", "sine"):

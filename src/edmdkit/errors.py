@@ -54,8 +54,8 @@ class ConfigError(EdmdkitError):
 
 
 class NonFiniteError(EdmdkitError, ValueError):
-    """A map image or a dictionary value is not finite: the iteration or the
-    evaluation overflowed."""
+    """A map image, a dictionary value or a Koopman prediction A^i psi is not
+    finite: the iteration, the evaluation or the matrix power overflowed."""
 
 
 class DomainEscapeWarning(UserWarning):

@@ -1,4 +1,4 @@
-"""Finite-horizon prediction of observables and L2 prediction-error studies.
+"""Finite-horizon prediction of observables and its L2(mu) error.
 
 The observable is f = C psi with C an (n, N) matrix; the step-i prediction
 from x0 is C A^i psi(x0).  Powers of A are applied by repeated
@@ -14,11 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import systems
-from .data import generate_iid
-from .dictionary import Dictionary, _gram, _gram_solve, evaluate_batch, parse_dictionary
-from .edmd import KoopmanMatrix, fit_edmd
-from .errors import ConfigError
-from .spectral import eig
+from .dictionary import Dictionary, _gram, _gram_solve, evaluate_batch
+from .edmd import KoopmanMatrix
+from .errors import NonFiniteError
 from .systems import DynamicalSystem, Measure, as_state
 
 
@@ -60,10 +58,14 @@ def _rollout(k: KoopmanMatrix, cmat, dic: Dictionary, system: DynamicalSystem, p
              horizon: int):
     """Yield (C A^i psi(points), C psi(T^i points)) for i = 1 .. horizon, each
     (n, M): the Koopman prediction and the truth at every column of
-    ``points``, the truth by direct iteration of the batch map."""
+    ``points``, the truth by direct iteration of the batch map.  A non-finite
+    A^i psi raises NonFiniteError."""
     z = evaluate_batch(dic, points).astype(complex)
-    for _ in range(horizon):
-        z = k.A @ z
+    for i in range(1, horizon + 1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = k.A @ z
+        if not np.all(np.isfinite(z)):
+            raise NonFiniteError(f"the Koopman prediction A^{i} psi is not finite")
         points = systems.apply_batch(system, points)
         yield cmat @ z, cmat @ evaluate_batch(dic, points)
 
@@ -118,9 +120,11 @@ def l2_error(
 
 
 def observable_matrix(f, dic: Dictionary, rule) -> np.ndarray:
-    """Rows of coefficients representing f in the dictionary, by quadrature
-    projection; exact whenever f lies in the span.  Row i is the conjugate of
-    empirical_project(dic, rule.nodes, f_i, rule.weights)."""
+    """Rows of coefficients c_i with c_i psi ~ f_i, the weighted least-squares
+    projection of each row f_i of f(rule.nodes) in the measure the rule
+    realizes; exact whenever f_i lies in the span.  Equal weights 1/M on M
+    sample points give the empirical projection.  A numerically singular
+    weighted Gram matrix raises RankDeficiencyError (count max(N, M))."""
     vals = np.asarray(f(rule.nodes))
     if vals.ndim == 1:
         vals = vals[None, :]
@@ -128,78 +132,3 @@ def observable_matrix(f, dic: Dictionary, rule) -> np.ndarray:
     b = (psi * rule.weights) @ vals.conj().T
     c, _ = _gram_solve("empirical Gram matrix", _gram(psi, rule.weights), b, rule.size)
     return np.ascontiguousarray(c.conj().T)
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    """One (dictionary size, data source, seed, step) cell of a convergence study."""
-
-    N: int
-    m_or_analytic: str
-    seed: int | None
-    step: int
-    l2_error: float
-    frob_gap: float | None
-    spectrum_file: str
-
-
-def _family_dictionary(family: str, n: int, domain) -> Dictionary:
-    """The dictionary of ``family`` with exactly ``n`` elements on ``domain``;
-    raises ConfigError for sizes and domains the family cannot take."""
-    if family in ("legendre", "monomial"):
-        return parse_dictionary(f"{family}:{n - 1}", domain)
-    if family == "fourier":
-        if n % 2 == 0:
-            raise ConfigError("fourier dictionaries have odd size 2*max_mode+1")
-        return parse_dictionary(f"fourier:{(n - 1) // 2}", domain)
-    raise ConfigError(f"family {family!r} cannot be sized by N")
-
-
-def convergence_sweep(
-    system: DynamicalSystem,
-    measure: Measure,
-    family: str,
-    n_list,
-    m_list,
-    horizon: int,
-    f,
-    seeds,
-    eval_spec=None,
-    spectrum_writer=None,
-) -> list[SweepRow]:
-    """Prediction-error table over dictionary sizes and sample counts.
-
-    ``m_list`` may be empty for analytic-only studies; the analytic matrix is
-    always built (it anchors the Frobenius gap column).  ``spectrum_writer``,
-    when given, is called as spectrum_writer(label, decomp) -> filename for
-    each cell so the CLI can drop spectrum files next to the table.  Rows come
-    back in deterministic (N, source, seed, step) order.
-    """
-    from .analytic import fit_analytic
-
-    if sorted(n_list) != list(n_list):
-        raise ConfigError("N list must be ascending")
-    rows = []
-    for n in n_list:
-        dic = _family_dictionary(family, n, system.domain)
-        k_an = fit_analytic(system, dic, measure)
-        ev = eval_spec if eval_spec is not None else QuadratureEval(max(128, 2 * n))
-        cmat = observable_matrix(f, dic, systems.gauss_rule(measure, max(64, 2 * n)))
-        fname = spectrum_writer(f"analytic_N{n}", eig(k_an)) if spectrum_writer else ""
-        errs = l2_error(k_an, cmat, dic, system, measure, horizon, ev)
-        for step, e in enumerate(errs, start=1):
-            rows.append(SweepRow(n, "analytic", None, step, float(e), None, fname))
-        for m in m_list:
-            for seed in seeds:
-                pair = generate_iid(system, measure, m, seed)
-                k_s = fit_edmd(pair, dic)
-                gap = float(np.linalg.norm(k_s.A - k_an.A))
-                fname = (
-                    spectrum_writer(f"sampled_N{n}_M{m}_seed{seed}", eig(k_s))
-                    if spectrum_writer
-                    else ""
-                )
-                errs = l2_error(k_s, cmat, dic, system, measure, horizon, ev)
-                for step, e in enumerate(errs, start=1):
-                    rows.append(SweepRow(n, str(m), seed, step, float(e), gap, fname))
-    return rows

@@ -89,12 +89,6 @@ def eigenfunction_values(decomp: SpectralDecomp, j: int, dic, points) -> np.ndar
     return w.conj() @ evaluate_batch(dic, points)
 
 
-def evaluate_eigenfunction(decomp: SpectralDecomp, j: int, dic, x) -> complex:
-    """phi_j at a single state: ``eigenfunction_values`` on one column."""
-    s = systems.as_state(x, dic.domain.dimension)
-    return complex(eigenfunction_values(decomp, j, dic, s[:, None])[0])
-
-
 def oscillation_seminorm(decomp: SpectralDecomp, j: int, dic, rule: QuadratureRule) -> float:
     """Quadrature value of the gradient energy of the normalized eigenfunction.
 
@@ -130,13 +124,6 @@ class Eigenmeasure:
     @property
     def count(self):
         return self.weights.shape[0]
-
-    def integrate(self, values) -> complex:
-        """Integral of a function given its values at the atoms."""
-        v = np.asarray(values).reshape(-1)
-        if v.shape != self.weights.shape:
-            raise ValueError("values must match the atom count")
-        return complex(np.sum(v * self.weights))
 
 
 def eigenmeasure_extract(

@@ -148,18 +148,6 @@ def apply_batch(system: DynamicalSystem, points) -> np.ndarray:
     return out
 
 
-def iterate(system: DynamicalSystem, x, steps: int) -> np.ndarray:
-    """T composed ``steps`` times; ``steps`` = 0 returns x unchanged."""
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
-    s = as_state(x, system.dimension)
-    with warnings.catch_warnings():
-        warnings.simplefilter("always", DomainEscapeWarning)
-        for _ in range(steps):
-            s = apply(system, s)
-    return s
-
-
 @dataclass(frozen=True)
 class Measure:
     """Probability measure: uniform on a box/circle domain, or a Gaussian

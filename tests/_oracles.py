@@ -118,7 +118,7 @@ def uniform_moment(k):
 def quadrature_projection(dic, rule, values):
     """Projection coefficients by an explicit Gram solve on the rule's nodes.
 
-    Independent of data.empirical_project: assembles and solves the normal
+    Independent of observable_matrix: assembles and solves the normal
     equations directly with numpy.linalg.solve.
     """
     from edmdkit.dictionary import evaluate_batch

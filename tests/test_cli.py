@@ -122,6 +122,9 @@ class TestExitCodes:
         ["eigenmeasure", "--system", "affine:a=3,b=0", "--family", "legendre",
          "--N", "800", "--x0", "0.5"],
         ["edmd", *TRIPLE[:4], "--measure", "gaussian:0,1e300", "--M", "100"],
+        # C A^i psi(x0) overflows: the M = 20 fit has spectral radius 1.45
+        ["predict", *TRIPLE, "--x0", "0.3", "--horizon", "2000", "--M", "20"],
+        ["study", "prediction", *TRIPLE, "--M", "20", "--x0", "0.3", "--horizon", "2000"],
     ], ids=lambda argv: " ".join(argv))
     @pytest.mark.filterwarnings("ignore")
     def test_non_finite_values_are_numerical_failure(self, tmp_path, capsys, argv):

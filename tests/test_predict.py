@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,11 +6,13 @@ import pytest
 
 from edmdkit import (
     MonteCarloEval,
+    NonFiniteError,
     QuadratureEval,
+    QuadratureRule,
+    RankDeficiencyError,
     apply_operator,
-    convergence_sweep,
-    empirical_project,
     evaluate,
+    evaluate_batch,
     fit_analytic,
     fit_edmd,
     gauss_rule,
@@ -23,6 +26,8 @@ from edmdkit import (
     sample,
     uniform,
 )
+
+from _oracles import quadrature_projection
 
 LOGISTIC = parse_system("logistic")
 UNIFORM11 = parse_measure("uniform:-1,1")
@@ -87,6 +92,14 @@ class TestPredict:
         assert res.predicted.shape == (0, 1)
         assert res.errors.shape == (0,)
 
+    def test_non_finite_prediction_raises(self):
+        # a spectral radius of 1e100 overflows A^i psi at the fourth step
+        dic = parse_dictionary("legendre:4")
+        k = fit_analytic(LOGISTIC, dic, UNIFORM11)
+        k = dataclasses.replace(k, A=1e100 * np.eye(dic.size))
+        with pytest.raises(NonFiniteError, match=r"A\^4 psi"):
+            predict(k, coordinate_observable(dic, UNIFORM11), [0.3], 5, dic, LOGISTIC)
+
 
 class TestL2Error:
     def test_invariant_subspace_all_steps_tiny(self):
@@ -139,6 +152,13 @@ class TestL2Error:
             assert np.max(errs) > 1e-6
 
 
+def _project(dic, pts, f, weights=None):
+    """Coefficients c with c^H psi ~ f: one observable_matrix row, weights 1/M
+    unless given."""
+    w = np.full(pts.shape[1], 1.0 / pts.shape[1]) if weights is None else weights
+    return np.conj(observable_matrix(lambda p: f, dic, QuadratureRule(pts, w)))[0]
+
+
 class TestObservableMatrix:
     def test_coordinate_in_legendre(self):
         dic = parse_dictionary("legendre:8")
@@ -154,40 +174,67 @@ class TestObservableMatrix:
                               dic, rule)
         assert c[0] == pytest.approx([0.0, -1.0, 0.0, 2.0], abs=1e-12)
         assert c[1] == pytest.approx([0.0, 0.0, 1.0, 0.0], abs=1e-12)
-        # one solve for all rows gives the per-row projections
+        # one solve for all rows gives the per-row normal-equation solutions
         x = rule.nodes[0]
-        rows = [np.conj(empirical_project(dic, rule.nodes, f, weights=rule.weights))
-                for f in (2.0 * x**3 - x, x**2)]
+        rows = [np.conj(quadrature_projection(dic, rule, f)) for f in (2.0 * x**3 - x, x**2)]
         assert np.max(np.abs(c - np.vstack(rows))) <= 1e-13
 
+    def test_basis_element_projects_to_coordinate(self):
+        dic = parse_dictionary("legendre:5")
+        rng = np.random.default_rng(0)
+        pts = rng.uniform(-1, 1, (1, 200))
+        f = evaluate_batch(dic, pts)[2]
+        c = _project(dic, pts, f)
+        expected = np.zeros(6)
+        expected[2] = 1.0
+        assert np.max(np.abs(c - expected)) <= 1e-10
 
-class TestConvergenceSweep:
-    def test_single_analytic_cell_matches_l2_error(self):
-        rows = convergence_sweep(LOGISTIC, UNIFORM11, "legendre", [9], [], 3,
-                                 lambda p: p[0], [], eval_spec=QuadratureEval(128))
+    def test_mean_onto_constant_span(self):
+        dic = parse_dictionary("monomial:0")
+        pts = np.array([[-1.0, 0.0, 1.0]])
+        c = _project(dic, pts, pts[0] ** 2)
+        assert c[0] == pytest.approx(2.0 / 3.0, abs=1e-15)
+
+    def test_monte_carlo_matches_quadrature_oracle(self):
         dic = parse_dictionary("legendre:8")
-        k = fit_analytic(LOGISTIC, dic, UNIFORM11)
-        direct = l2_error(k, coordinate_observable(dic, UNIFORM11), dic, LOGISTIC,
-                          UNIFORM11, 3, QuadratureEval(128))
-        assert [r.l2_error for r in rows] == pytest.approx(direct, abs=1e-13)
-        assert all(r.m_or_analytic == "analytic" and r.frob_gap is None for r in rows)
+        rng = np.random.default_rng(21)
+        pts = rng.uniform(-1, 1, (1, 10**4))
+        c_mc = _project(dic, pts, pts[0] ** 4)
+        rule = gauss_rule(uniform(dic.domain), 64)
+        c_quad = quadrature_projection(dic, rule, rule.nodes[0] ** 4)
+        assert np.max(np.abs(c_mc - c_quad)) <= 5e-2
 
-    def test_row_ordering_and_gap_column(self):
-        rows = convergence_sweep(LOGISTIC, UNIFORM11, "legendre", [3, 5], [50], 2,
-                                 lambda p: p[0], [0, 1],
-                                 eval_spec=QuadratureEval(64))
-        key = [(r.N, r.m_or_analytic, -1 if r.seed is None else r.seed, r.step) for r in rows]
-        assert key == sorted(key, key=lambda t: (t[0], t[1] != "analytic", t[1], t[2], t[3]))
-        sampled = [r for r in rows if r.m_or_analytic != "analytic"]
-        assert all(r.frob_gap is not None and r.frob_gap >= 0 for r in sampled)
+    def test_idempotence(self):
+        dic = parse_dictionary("legendre:6")
+        rng = np.random.default_rng(5)
+        pts = rng.uniform(-1, 1, (1, 300))
+        c = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+        f = c.conj() @ evaluate_batch(dic, pts)
+        back = _project(dic, pts, f)
+        assert np.max(np.abs(back - c)) <= 1e-10
 
-    def test_sampled_aggregate_error_comparable_to_analytic(self):
-        # root-mean over steps: predictions from a thousand samples track the
-        # sampling-free operator within a factor of two
-        rows = convergence_sweep(LOGISTIC, UNIFORM11, "legendre", [9], [1000], 5,
-                                 lambda p: p[0], [0], eval_spec=QuadratureEval(128))
-        analytic = np.array([r.l2_error for r in rows if r.m_or_analytic == "analytic"])
-        sampled = np.array([r.l2_error for r in rows if r.m_or_analytic == "1000"])
-        rms_an = np.sqrt(np.mean(analytic**2))
-        rms_s = np.sqrt(np.mean(sampled**2))
-        assert rms_s <= 2.0 * rms_an
+    def test_residual_orthogonality(self):
+        dic = parse_dictionary("legendre:5")
+        rng = np.random.default_rng(6)
+        pts = rng.uniform(-1, 1, (1, 500))
+        f = np.sin(3 * pts[0])
+        c = _project(dic, pts, f)
+        psi = evaluate_batch(dic, pts)
+        resid = c.conj() @ psi - f
+        defect = np.abs(psi.conj() @ resid) / pts.shape[1]
+        scale = max(1.0, float(np.max(np.abs(f))))
+        assert np.max(defect) <= 1e-10 * scale
+
+    def test_rank_deficiency_raises_with_condition(self):
+        dic = parse_dictionary("legendre:4")
+        pts = np.array([[0.3, 0.3, 0.3]])  # repeated atom: Gram has rank one
+        with pytest.raises(RankDeficiencyError) as info:
+            _project(dic, pts, np.ones(3))
+        assert info.value.condition > 1e8
+
+    def test_quadrature_weights_variant(self):
+        dic = parse_dictionary("legendre:4")
+        rule = gauss_rule(uniform(dic.domain), 16)
+        c = _project(dic, rule.nodes, rule.nodes[0] ** 2, weights=rule.weights)
+        oracle = quadrature_projection(dic, rule, rule.nodes[0] ** 2)
+        assert np.max(np.abs(c - oracle)) <= 1e-13

@@ -13,7 +13,6 @@ from edmdkit import (
     box,
     gauss_rule,
     gaussian,
-    iterate,
     parse_measure,
     parse_system,
     sample,
@@ -76,27 +75,6 @@ class TestApply:
                 np.errstate(over="ignore"):
             apply(system, [1e308])
         assert issubclass(NonFiniteError, ValueError)
-
-
-class TestIterate:
-    def test_logistic_first_steps(self):
-        system = parse_system("logistic")
-        assert iterate(system, [0.3], 1)[0] == pytest.approx(-0.82)
-        assert iterate(system, [0.3], 2)[0] == pytest.approx(0.3448)
-
-    def test_zero_steps_is_identity(self):
-        system = parse_system("logistic")
-        assert iterate(system, [0.37], 0)[0] == 0.37
-
-    def test_semigroup_property(self):
-        system = parse_system("logistic")
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            a, b = rng.integers(0, 11, size=2)
-            x = rng.uniform(-1, 1, 1)
-            once = iterate(system, x, int(a + b))
-            twice = iterate(system, iterate(system, x, int(a)), int(b))
-            assert np.allclose(once, twice, atol=1e-12)
 
 
 class TestGaussRule:
