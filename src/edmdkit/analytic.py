@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 
 from . import systems
-from .dictionary import Dictionary, _gram_solve, evaluate_batch, gram
+from .dictionary import Dictionary, _gram, _gram_solve, evaluate_batch
 from .edmd import KoopmanMatrix
 from .errors import DomainEscapeError, DomainEscapeWarning, QuadratureSaturationWarning, check_rank
 from .systems import DynamicalSystem, Measure, QuadratureRule
@@ -32,15 +32,20 @@ def transfer_matrix(system: DynamicalSystem, dic: Dictionary, rule: QuadratureRu
     domain, since the integrand is then evaluated where the dictionary has no
     meaning.
     """
+    return _moments(system, dic, rule)[1]
+
+
+def _moments(system, dic, rule):
+    """G and M_T under ``rule`` from one psi pass on the nodes, one on their images."""
+    psi_x = evaluate_batch(dic, rule.nodes)
     with warnings.catch_warnings():
         warnings.simplefilter("error", DomainEscapeWarning)
         try:
             tx = systems.apply_batch(system, rule.nodes)
         except DomainEscapeWarning as w:
             raise DomainEscapeError(str(w)) from None
-    psi_x = evaluate_batch(dic, rule.nodes)
     psi_tx = evaluate_batch(dic, tx)
-    return (psi_tx * rule.weights) @ psi_x.conj().T
+    return _gram(psi_x, rule.weights), (psi_tx * rule.weights) @ psi_x.conj().T
 
 
 def default_quad_order(system: DynamicalSystem, dic: Dictionary) -> int | None:
@@ -61,8 +66,7 @@ def default_quad_order(system: DynamicalSystem, dic: Dictionary) -> int | None:
 def _fit(system, dic, measure, order):
     """A = M_T G^{-1} and the ascending Gram eigenvalues under the Gauss rule
     of ``order`` nodes; G counts as singular at N * eps * lambda_max."""
-    rule = systems.gauss_rule(measure, order)
-    g, m_t = gram(dic, rule), transfer_matrix(system, dic, rule)
+    g, m_t = _moments(system, dic, systems.gauss_rule(measure, order))
     what = "Gram matrix of the dictionary"
     if dic.orthonormal_wrt == measure:
         # A is M_T: the eigenvalues alone serve sigma and the rank rule

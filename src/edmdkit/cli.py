@@ -6,14 +6,15 @@ Subcommands: ``edmd``, ``analytic``, ``spectrum``, ``predict``,
 endings and a leading comment line echoing the configuration and library
 version.  The table format itself (header line, shortest-repr floats, complex
 numbers as paired re,im columns) lives in :mod:`edmdkit._table`.  Reruns with
-identical configuration and seeds are byte-identical under ``--reproducible``,
-which suppresses the timestamp in that header.
+identical configuration, seeds and BLAS thread count are byte-identical under
+``--reproducible``, which suppresses the timestamp in that header.  Across
+thread counts only the README commands are checked to match.
 
 Configuration files are plain ``key=value`` lines mirroring the long option
 names one-to-one; command-line flags override file values.  Exit status is 1
-for configuration errors and 2 for numerical failures (rank deficiency,
-eigensolver breakdown, non-finite map images, dictionary values or
-predictions), never a traceback: bad input is rejected where it is parsed.
+for configuration errors, output paths that cannot be created included, and 2
+for numerical failures (rank deficiency, eigensolver breakdown, non-finite map
+images, dictionary values or predictions), never a traceback.
 
 Handlers are parse -> call -> write: each parses its arguments, calls the
 library (each study is one call into :mod:`edmdkit.studies`) and writes what
@@ -235,8 +236,7 @@ def _inject_config(argv):
 
 
 def _outdir(args):
-    d = args.outdir or os.environ.get(OUTDIR_ENV) or "."
-    path = Path(d)
+    path = Path(args.outdir or os.environ.get(OUTDIR_ENV) or ".")
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -457,7 +457,7 @@ def main(argv=None) -> int:
         argv = _inject_config(argv)
         args = build_parser().parse_args(argv)
         return args.handler(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"edmdkit: configuration error: {exc}", file=sys.stderr)
         return 1
     except (RankDeficiencyError, EigensolverError, NonFiniteError) as exc:

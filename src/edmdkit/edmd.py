@@ -99,22 +99,22 @@ def apply_operator(k: KoopmanMatrix, c_phi) -> np.ndarray:
 
 
 def theorem1_residual(k: KoopmanMatrix, snapshots: SnapshotPair, dic: Dictionary) -> float:
-    """Empirical orthogonality defect of the fitted operator.
+    """Empirical orthogonality defect of the fitted operator, in moment form.
 
-    Returns max_{i,j} |(1/M) sum_k (psi_i(y_k) - (A psi(x_k))_i) conj(psi_j(x_k))|,
-    which is zero exactly when K psi_i is the empirical projection of
-    psi_i o T for every basis element.  Raises RankDeficiencyError when the
-    empirical Gram is numerically singular, in which case the projection
-    characterization does not pin down a unique minimizer.
+    Returns max_{i,j} |psi(Y) psi(X)^H - A G|_{ij} / M with the empirical Gram
+    G = psi(X) psi(X)^H: the paper's A_M - K G_M, zero exactly when K psi_i is
+    the empirical projection of psi_i o T for every basis element.  Raises
+    RankDeficiencyError when G is numerically singular, in which case the
+    projection characterization does not pin down a unique minimizer.
     """
     psix = evaluate_batch(dic, snapshots.X)
     psiy = evaluate_batch(dic, snapshots.Y)
     n, m = psix.shape
-    lam = np.linalg.eigvalsh(psix @ psix.conj().T)
+    psix_h = psix.conj().T
+    g = psix @ psix_h
+    lam = np.linalg.eigvalsh(g)
     check_rank("empirical Gram matrix", lam[0], lam[-1], max(n, m))
-    r = psiy - k.A @ psix
-    d = (r * (1.0 / m)) @ psix.conj().T
-    return float(np.max(np.abs(d)))
+    return float(np.max(np.abs(psiy @ psix_h - k.A @ g))) / m
 
 
 def residual_scale(snapshots: SnapshotPair, dic: Dictionary) -> float:

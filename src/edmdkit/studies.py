@@ -14,6 +14,7 @@ study returns its rows in column order; the CLI writes them as they come.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -130,16 +131,17 @@ def convergence_sweep(
     horizon: int,
     f,
     seeds,
-    eval_spec=None,
     spectrum_writer=None,
 ) -> list[SweepRow]:
     """Prediction-error table over dictionary sizes and sample counts.
 
     ``m_list`` may be empty for analytic-only studies; the analytic matrix is
-    always built (it anchors the Frobenius gap column).  ``spectrum_writer``,
-    when given, is called as spectrum_writer(label, decomp) -> filename for
-    each cell so the CLI can drop spectrum files next to the table.  Rows come
-    back in deterministic (N, source, seed, step) order.
+    always built (it anchors the Frobenius gap column).  Errors are integrated
+    with a Gauss rule of max(128, 2N) nodes.  ``spectrum_writer``, when given,
+    is called as spectrum_writer(label, decomp) -> filename for each cell so
+    the CLI can drop spectrum files next to the table.  Per N the analytic
+    cell comes first, then the sampled cells, each fitted only after the cell
+    before it is written; rows come in (N, source, seed, step) order.
     """
     if sorted(n_list) != list(n_list):
         raise ConfigError("N list must be ascending")
@@ -147,20 +149,14 @@ def convergence_sweep(
     for n in n_list:
         dic = _family_dictionary(family, n, system.domain)
         k_an = fit_analytic(system, dic, measure)
-        ev = eval_spec if eval_spec is not None else QuadratureEval(max(128, 2 * n))
+        ev = QuadratureEval(max(128, 2 * n))
         cmat = _observable(f, dic, measure)
-        fname = spectrum_writer(f"analytic_N{n}", eig(k_an)) if spectrum_writer else ""
-        errs = l2_error(k_an, cmat, dic, system, measure, horizon, ev)
-        for step, e in enumerate(errs, start=1):
-            rows.append(SweepRow(n, "analytic", None, step, float(e), None, fname))
-        for m, seed, k_s in _sampled_fits(system, dic, measure, m_list, seeds):
-            gap = float(np.linalg.norm(k_s.A - k_an.A))
-            fname = (
-                spectrum_writer(f"sampled_N{n}_M{m}_seed{seed}", eig(k_s))
-                if spectrum_writer
-                else ""
-            )
-            errs = l2_error(k_s, cmat, dic, system, measure, horizon, ev)
-            for step, e in enumerate(errs, start=1):
-                rows.append(SweepRow(n, str(m), seed, step, float(e), gap, fname))
+        for m, seed, k in chain([("analytic", None, k_an)],
+                                _sampled_fits(system, dic, measure, m_list, seeds)):
+            gap = None if k is k_an else float(np.linalg.norm(k.A - k_an.A))
+            label = f"analytic_N{n}" if k is k_an else f"sampled_N{n}_M{m}_seed{seed}"
+            fname = spectrum_writer(label, eig(k)) if spectrum_writer else ""
+            errs = l2_error(k, cmat, dic, system, measure, horizon, ev)
+            rows.extend(SweepRow(n, str(m), seed, step, float(e), gap, fname)
+                        for step, e in enumerate(errs, start=1))
     return rows

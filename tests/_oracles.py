@@ -127,3 +127,10 @@ def quadrature_projection(dic, rule, values):
     g = (psi * rule.weights) @ psi.conj().T
     b = (psi * rule.weights) @ np.conj(np.asarray(values))
     return np.linalg.solve(g, b)
+
+
+def theorem1_residual_form(a, psix, psiy):
+    """The Theorem-1 defect in residual form,
+    max |(psi(Y) - A psi(X)) psi(X)^H| / M, through the N x M residual."""
+    r = psiy - a @ psix
+    return float(np.max(np.abs((r * (1.0 / psix.shape[1])) @ psix.conj().T)))

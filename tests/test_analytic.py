@@ -76,6 +76,23 @@ class TestFitAnalytic:
         oracle = np.conj(quadrature_projection(dic, rule, composed))
         assert np.max(np.abs(k.A[2] - oracle)) <= 1e-12
 
+    @pytest.mark.parametrize("spec", ["legendre:8", "monomial:4"])
+    def test_one_dictionary_pass_per_point_set(self, monkeypatch, spec):
+        # psi on the nodes serves both G and M_T; the images need the other pass
+        import edmdkit.analytic
+        import edmdkit.dictionary
+
+        original, calls = edmdkit.dictionary.evaluate_batch, []
+
+        def counted(dic, points):
+            calls.append(np.shape(points))
+            return original(dic, points)
+
+        for module in (edmdkit.analytic, edmdkit.dictionary):
+            monkeypatch.setattr(module, "evaluate_batch", counted)
+        fit_analytic(LOGISTIC, parse_dictionary(spec), UNIFORM11, quad_order=64)
+        assert calls == [(1, 64), (1, 64)]
+
     def test_quadrature_saturation_between_orders(self):
         dic = parse_dictionary("legendre:8")
         a64 = fit_analytic(LOGISTIC, dic, UNIFORM11, quad_order=64).A

@@ -132,6 +132,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("edmdkit: numerical failure:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("case", ["outdir-is-file", "outdir-under-file", "out-missing-dir"])
+    def test_unwritable_output_path_is_config_error(self, tmp_path, capsys, case):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("", encoding="utf-8")
+        outdir, extra = {
+            "outdir-is-file": (blocker, []),
+            "outdir-under-file": (blocker / "sub", []),
+            "out-missing-dir": (tmp_path, ["--out", "sub/none/m.csv"]),
+        }[case]
+        assert run(outdir, "edmd", *TRIPLE, "--M", "20", *extra) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("edmdkit: configuration error:") and err.count("\n") == 1
+
 
 def test_readme_commands_match_readme():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

@@ -23,7 +23,7 @@ from edmdkit import (
     write_koopman_csv,
 )
 
-from _oracles import quadrature_projection
+from _oracles import quadrature_projection, theorem1_residual_form
 
 LOGISTIC = parse_system("logistic")
 UNIFORM11 = parse_measure("uniform:-1,1")
@@ -186,6 +186,29 @@ class TestTheorem1Residual:
         dic = parse_dictionary("legendre:8")
         k = fit_edmd(pair, dic)
         assert theorem1_residual(k, pair, dic) <= 1e-10
+
+    @pytest.mark.parametrize("system_spec, spec, fit", [
+        ("logistic", "legendre:8", "analytic"),
+        ("logistic", "monomial:10", "analytic"),
+        ("logistic", "legendre:8", "tikhonov"),
+        ("logistic", "monomial:10", "tikhonov"),
+        ("rotation:omega=0.4", "fourier:3", "tikhonov"),
+    ])
+    def test_moment_form_matches_residual_form(self, system_spec, spec, fit):
+        # matrices that are not the pair's least-squares fit, so the defect is
+        # far above roundoff and both forms have digits to agree on
+        system = parse_system(system_spec)
+        dic = parse_dictionary(spec, system.domain)
+        mu = uniform(system.domain)
+        pair = generate_iid(system, mu, 1000, seed=5)
+        if fit == "analytic":
+            k = fit_analytic(system, dic, mu)
+        else:
+            k = fit_edmd(pair, dic, tikhonov=1.0)
+        oracle = theorem1_residual_form(k.A, evaluate_batch(dic, pair.X),
+                                        evaluate_batch(dic, pair.Y))
+        assert oracle > 1e-6
+        assert theorem1_residual(k, pair, dic) == pytest.approx(oracle, rel=1e-10)
 
     def test_rank_deficiency_reported(self):
         x = np.full((1, 5), 0.3)  # single repeated atom

@@ -80,7 +80,7 @@ class TestPredictionStudy:
 class TestConvergenceSweep:
     def test_single_analytic_cell_matches_l2_error(self):
         rows = convergence_sweep(LOGISTIC, UNIFORM11, "legendre", [9], [], 3,
-                                 lambda p: p[0], [], eval_spec=QuadratureEval(128))
+                                 lambda p: p[0], [])
         dic = parse_dictionary("legendre:8")
         k = fit_analytic(LOGISTIC, dic, UNIFORM11)
         direct = l2_error(k, coordinate_observable(dic, UNIFORM11), dic, LOGISTIC,
@@ -90,8 +90,7 @@ class TestConvergenceSweep:
 
     def test_row_ordering_and_gap_column(self):
         rows = convergence_sweep(LOGISTIC, UNIFORM11, "legendre", [3, 5], [50], 2,
-                                 lambda p: p[0], [0, 1],
-                                 eval_spec=QuadratureEval(64))
+                                 lambda p: p[0], [0, 1])
         key = [(r.N, r.m_or_analytic, -1 if r.seed is None else r.seed, r.step) for r in rows]
         assert key == sorted(key, key=lambda t: (t[0], t[1] != "analytic", t[1], t[2], t[3]))
         sampled = [r for r in rows if r.m_or_analytic != "analytic"]
@@ -101,7 +100,7 @@ class TestConvergenceSweep:
         # root-mean over steps: predictions from a thousand samples track the
         # sampling-free operator within a factor of two
         rows = convergence_sweep(LOGISTIC, UNIFORM11, "legendre", [9], [1000], 5,
-                                 lambda p: p[0], [0], eval_spec=QuadratureEval(128))
+                                 lambda p: p[0], [0])
         analytic = np.array([r.l2_error for r in rows if r.m_or_analytic == "analytic"])
         sampled = np.array([r.l2_error for r in rows if r.m_or_analytic == "1000"])
         rms_an = np.sqrt(np.mean(analytic**2))
