@@ -3,17 +3,20 @@
 Subcommands: ``edmd``, ``analytic``, ``spectrum``, ``predict``,
 ``eigenmeasure``, ``study spectra|prediction|mc-rate|strong-convergence``,
 ``validate``.  Every output file is UTF-8 CSV (or SVG) with ``\\n`` line
-endings and a leading comment line echoing the configuration and library
-version.  The table format itself (header line, shortest-repr floats, complex
-numbers as paired re,im columns) lives in :mod:`edmdkit._table`.  Reruns with
+endings and a leading comment line, built by :func:`_header` from the parsed
+options, that names the library version and the cell the file holds.  The
+table format itself (header line, shortest-repr floats, complex numbers as
+paired re,im columns) lives in :mod:`edmdkit._table`.  Reruns with
 identical configuration, seeds and BLAS thread count are byte-identical under
 ``--reproducible``, which suppresses the timestamp in that header.  Across
 thread counts only the README commands are checked to match.
 
 Configuration files are plain ``key=value`` lines mirroring the long option
-names one-to-one; command-line flags override file values.  Exit status is 1
+names one-to-one, a switch being on for ``true``/``yes`` and off for
+``false``/``no``; command-line flags override file values.  Exit status is 1
 for configuration errors, output paths that cannot be created included, and 2
-for numerical failures (rank deficiency, eigensolver breakdown, non-finite map
+for every other library error, a numerical failure (rank deficiency,
+eigensolver breakdown, quadrature nodes leaving the domain, non-finite map
 images, dictionary values or predictions), never a traceback.
 
 Handlers are parse -> call -> write: each parses its arguments, calls the
@@ -39,8 +42,7 @@ from .analytic import fit_analytic
 from .data import generate_iid, generate_trajectory
 from .dictionary import parse_dictionary
 from .edmd import fit_edmd, write_koopman_csv
-from .errors import (ConfigError, EdmdkitError, EigensolverError, NonFiniteError,
-                     RankDeficiencyError)
+from .errors import ConfigError, EdmdkitError
 from .predict import predict
 from .spectral import (eig, eigenmeasure_extract, pf_check, write_eigenmeasure_csv,
                        write_spectrum_csv)
@@ -101,7 +103,7 @@ def build_parser() -> _Parser:
 
     triple = _Parser(add_help=False)
     triple.add_argument("--system", required=True)
-    triple.add_argument("--dict", dest="dict_spec", required=True)
+    triple.add_argument("--dict", required=True)
     triple.add_argument("--measure", required=True)
 
     p = _Parser(prog="edmdkit", description=__doc__.splitlines()[0])
@@ -148,7 +150,7 @@ def build_parser() -> _Parser:
     q.add_argument("--pair", type=_nonnegative, default=0)
 
     st = sub.add_parser("study", parents=[common], help="multi-cell experiment studies")
-    stsub = st.add_subparsers(dest="study_kind", required=True)
+    stsub = st.add_subparsers(dest="study", required=True)
 
     q = add(stsub, "spectra", _cmd_study_spectra, triple)
     q.add_argument("--M", type=_int_list, required=True)
@@ -177,7 +179,7 @@ def build_parser() -> _Parser:
     q = add(sub, "validate", _cmd_validate,
             help="report configuration diagnostics without running")
     q.add_argument("--system")
-    q.add_argument("--dict", dest="dict_spec")
+    q.add_argument("--dict")
     q.add_argument("--measure")
     q.add_argument("--M", type=_positive)
 
@@ -204,10 +206,11 @@ def _load_config_tokens(path):
         key, value = key.strip(), value.strip()
         if key == "config":
             raise ConfigError("config files cannot nest")
-        if key == "reproducible":
-            if value.lower() in ("1", "true", "yes"):
-                tokens.append("--reproducible")
-        else:
+        # true/yes turns a switch on, false/no leaves it off; anything else
+        # is the option's value, checked by the parser like a typed one
+        if value.lower() in ("true", "yes"):
+            tokens.append(f"--{key}")
+        elif value.lower() not in ("false", "no"):
             tokens.extend([f"--{key}", value])
     return tokens
 
@@ -241,11 +244,22 @@ def _outdir(args):
     return path
 
 
-def _header(args, params):
-    parts = [f"edmdkit={__version__}", f"mode={args.mode}"]
-    if getattr(args, "study_kind", None):
-        parts.append(f"study={args.study_kind}")
-    parts.extend(f"{k}={v}" for k, v in params.items())
+# options that say where output goes or whether it is timestamped, not which
+# cell it holds; ``handler`` is the subcommand's function
+_UNECHOED = {"outdir", "out", "config", "reproducible", "handler"}
+
+
+def _header(args, **derived):
+    """The ``#`` line that starts every output file: the library version, every
+    parsed option in parser order (lists comma-joined, options left at None
+    skipped), the ``derived`` values, and the time unless ``--reproducible``."""
+    parts = [f"edmdkit={__version__}"]
+    for key, value in {**vars(args), **derived}.items():
+        if key in _UNECHOED or value is None:
+            continue
+        if isinstance(value, list):
+            value = ",".join(map(str, value))
+        parts.append(f"{key}={value}")
     if not args.reproducible:
         parts.append("generated=" + datetime.now(timezone.utc).isoformat())
     return "# " + " ".join(parts) + "\n"
@@ -264,32 +278,23 @@ def _write(path, header, body_writer):
 
 def _parse_triple(args):
     system = systems.parse_system(args.system)
-    dic = parse_dictionary(args.dict_spec, system.domain)
+    dic = parse_dictionary(args.dict, system.domain)
     measure = systems.parse_measure(args.measure)
     return system, dic, measure
 
 
-def _triple_params(args, **extra):
-    """Header parameters of a command that takes --system/--dict/--measure."""
-    return dict(system=args.system, dict=args.dict_spec, measure=args.measure, **extra)
-
-
 def _cmd_edmd(args):
-    if args.tikhonov < 0.0:
-        raise ConfigError(f"--tikhonov must be nonnegative, got {args.tikhonov!r}")
     system, dic, measure = _parse_triple(args)
-    pair = generate_iid(system, measure, args.M, args.seed)
-    k = fit_edmd(pair, dic, tikhonov=args.tikhonov)
-    params = _triple_params(args, M=args.M, seed=args.seed)
-    _write(_outdir(args) / args.out, _header(args, params), lambda f: write_koopman_csv(k, f))
+    k = fit_edmd(generate_iid(system, measure, args.M, args.seed), dic, tikhonov=args.tikhonov)
+    _write(_outdir(args) / args.out, _header(args), lambda f: write_koopman_csv(k, f))
     return 0
 
 
 def _cmd_analytic(args):
     system, dic, measure = _parse_triple(args)
     k = fit_analytic(system, dic, measure, quad_order=args.order)
-    params = _triple_params(args, provenance=k.provenance)
-    _write(_outdir(args) / args.out, _header(args, params), lambda f: write_koopman_csv(k, f))
+    _write(_outdir(args) / args.out, _header(args, provenance=k.provenance),
+           lambda f: write_koopman_csv(k, f))
     return 0
 
 
@@ -305,15 +310,14 @@ def _cmd_spectrum(args):
     system, dic, measure = _parse_triple(args)
     k = _fit_for(args, system, dic, measure)
     decomp = eig(k)
-    params = _triple_params(args, provenance=k.provenance)
+    header = _header(args, provenance=k.provenance)
     out = _outdir(args)
-    _write(out / "spectrum.csv", _header(args, params),
-           lambda f: write_spectrum_csv(decomp, f))
+    _write(out / "spectrum.csv", header, lambda f: write_spectrum_csv(decomp, f))
     marker = "circle" if args.analytic else "cross"
     _write(out / "spectrum.svg", "",
            lambda f: write_spectrum_svg(f, [(k.provenance, decomp.eigenvalues, marker)],
-                                        title=f"{args.system} / {args.dict_spec}",
-                                        comment=_header(args, params).strip("#\n ")))
+                                        title=f"{args.system} / {args.dict}",
+                                        comment=header.strip("#\n ")))
     return 0
 
 
@@ -322,11 +326,10 @@ def _cmd_predict(args):
     k = _fit_for(args, system, dic, measure)
     result = predict(k, _observable(_default_observable(system), dic, measure), [args.x0],
                      args.horizon, dic, system)
-    params = _triple_params(args, x0=args.x0, horizon=args.horizon, provenance=k.provenance)
     columns = ["step", "truth_re", "truth_im", "pred_re", "pred_im", "abs_error"]
     rows = zip(range(1, result.horizon + 1), result.truth[:, 0].tolist(),
                result.predicted[:, 0].tolist(), result.errors.tolist())
-    _write(_outdir(args) / "prediction.csv", _header(args, params),
+    _write(_outdir(args) / "prediction.csv", _header(args, provenance=k.provenance),
            lambda f: write_table(f, columns, rows))
     return 0
 
@@ -340,9 +343,8 @@ def _cmd_eigenmeasure(args):
     k = fit_edmd(pair, dic)
     decomp = eig(k)
     nu = eigenmeasure_extract(k, decomp, args.pair, pair)
-    params = dict(system=args.system, family=args.family, N=args.N, x0=args.x0,
-                  pair=args.pair, eigenvalue=repr(nu.eigenvalue))
-    _write(_outdir(args) / f"eigenmeasure_{args.pair}.csv", _header(args, params),
+    _write(_outdir(args) / f"eigenmeasure_{args.pair}.csv",
+           _header(args, eigenvalue=repr(nu.eigenvalue)),
            lambda f: write_eigenmeasure_csv(nu, f))
     fns = [lambda p: np.ones(p.shape[1]), lambda p: p[0], lambda p: p[0] ** 2]
     for label, res in zip(["1", "x", "x^2"], pf_check(nu, system, fns)):
@@ -356,8 +358,7 @@ def _cmd_study_spectra(args):
     spec_an, sampled, rows = spectra_study(system, dic, measure, args.M, range(args.seeds),
                                            args.order)
     out = _outdir(args)
-    params = _triple_params(args, M=",".join(map(str, args.M)), seeds=args.seeds)
-    header = _header(args, params)
+    header = _header(args)
     for m, spec in sampled.items():
         _write(out / f"spectra_M{m}.svg", "",
                lambda f: write_spectrum_svg(
@@ -371,11 +372,9 @@ def _cmd_study_spectra(args):
 def _cmd_study_prediction(args):
     system, dic, measure = _parse_triple(args)
     rows = prediction_study(system, dic, measure, args.M, args.seed, [args.x0], args.horizon)
-    params = _triple_params(args, M=",".join(map(str, args.M)), seed=args.seed, x0=args.x0,
-                            horizon=args.horizon)
     columns = ["step", "truth_re", "truth_im", "analytic_re", "analytic_im",
                *(f"M{m}_{part}" for m in args.M for part in ("re", "im"))]
-    _write(_outdir(args) / "prediction_study.csv", _header(args, params),
+    _write(_outdir(args) / "prediction_study.csv", _header(args),
            lambda f: write_table(f, columns, rows))
     return 0
 
@@ -383,8 +382,7 @@ def _cmd_study_prediction(args):
 def _cmd_study_mc_rate(args):
     system, dic, measure = _parse_triple(args)
     rows, slope = mc_rate_study(system, dic, measure, args.M, range(args.seeds))
-    params = _triple_params(args, M=",".join(map(str, args.M)), seeds=args.seeds)
-    _write(_outdir(args) / "mc_rate.csv", _header(args, params),
+    _write(_outdir(args) / "mc_rate.csv", _header(args),
            lambda f: write_table(f, ["M", "seed", "frob_gap"], rows))
     print(f"loglog_slope_of_median={slope!r}")
     return 0
@@ -394,9 +392,7 @@ def _cmd_study_strong(args):
     system = systems.parse_system(args.system)
     measure = systems.parse_measure(args.measure)
     out = _outdir(args)
-    params = dict(system=args.system, family=args.family, measure=args.measure,
-                  N=",".join(map(str, args.N)), horizon=args.horizon)
-    header = _header(args, params)
+    header = _header(args)
 
     def spectrum_writer(label, decomp):
         name = f"spectrum_{label}.csv"
@@ -424,9 +420,9 @@ def validate_config(args) -> list:
             system = systems.parse_system(args.system)
         except ConfigError as exc:
             diags.append(f"error: {exc}")
-    if args.dict_spec:
+    if args.dict:
         try:
-            dic = parse_dictionary(args.dict_spec,
+            dic = parse_dictionary(args.dict,
                                    system.domain if system is not None else None)
         except ConfigError as exc:
             diags.append(f"error: {exc}")
@@ -460,11 +456,8 @@ def main(argv=None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"edmdkit: configuration error: {exc}", file=sys.stderr)
         return 1
-    except (RankDeficiencyError, EigensolverError, NonFiniteError) as exc:
-        print(f"edmdkit: numerical failure: {exc}", file=sys.stderr)
-        return 2
     except EdmdkitError as exc:
-        print(f"edmdkit: {exc}", file=sys.stderr)
+        print(f"edmdkit: numerical failure: {exc}", file=sys.stderr)
         return 2
 
 

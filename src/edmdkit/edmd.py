@@ -24,7 +24,7 @@ import numpy as np
 from ._table import float_rows, read_table, write_table
 from .data import SnapshotPair
 from .dictionary import Dictionary, evaluate_batch, parse_dictionary
-from .errors import check_rank
+from .errors import ConfigError, check_rank
 from .systems import Domain, box, circle
 
 _EPS = np.finfo(float).eps
@@ -68,8 +68,11 @@ def fit_edmd(snapshots: SnapshotPair, dic: Dictionary, tikhonov: float = 0.0) ->
     regularizes ill-conditioned user data by filtering the same SVD, each kept
     1/s becoming s / (s^2 + t): the solution of the normal equations
     psi(Y) psi(X)^H (psi(X) psi(X)^H + t I)^{-1} on the unnormalized psi(X).
-    The default 0 keeps the exact pseudoinverse solution.
+    The default 0 keeps the exact pseudoinverse solution; a negative or
+    non-finite t raises ConfigError.
     """
+    if not (np.isfinite(tikhonov) and tikhonov >= 0.0):
+        raise ConfigError(f"tikhonov must be a finite nonnegative number, got {tikhonov!r}")
     psix = evaluate_batch(dic, snapshots.X)
     psiy = evaluate_batch(dic, snapshots.Y)
     n, m = psix.shape

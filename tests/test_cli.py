@@ -1,10 +1,11 @@
+import re
 import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from edmdkit import read_koopman_csv, read_spectrum_csv
+from edmdkit import __version__, read_koopman_csv, read_spectrum_csv
 from edmdkit.cli import main
 
 
@@ -29,6 +30,20 @@ README_COMMANDS = {
     "study-strong-convergence": [*STRONG, "--N", "3,5,9,13,17", "--horizon", "5"],
     "validate": ["validate", *TRIPLE, "--M", "5"],
 }
+
+
+# the README commands plus runs that set --tikhonov, a study --order and a
+# sampled strong-convergence grid
+HEADER_COMMANDS = {
+    **README_COMMANDS,
+    "edmd-tikhonov": ["edmd", *TRIPLE, "--M", "1000", "--tikhonov", "0.5"],
+    "study-spectra-order": ["study", "spectra", *TRIPLE, "--M", "100,1000", "--seeds", "2",
+                            "--order", "20"],
+    "study-strong-convergence-sampled": [*STRONG, "--N", "3,5", "--M", "100", "--seeds", "2",
+                                         "--horizon", "2"],
+}
+# where output goes and whether it is timestamped, not which cell it holds
+UNECHOED = {"--outdir", "--out", "--config", "--reproducible"}
 
 
 def run(tmp_path, *args):
@@ -63,6 +78,50 @@ class TestEdmdCommand:
               "--measure", "uniform:-1,1", "--M", "20", "--outdir", str(tmp_path)])
         first = read_file(tmp_path / "edmd_matrix.csv").splitlines()[0]
         assert "generated=" in first
+
+
+def echoed_pairs(argv):
+    """The key=value pairs a header must carry for ``argv``: the subcommand
+    words, then each option with its value (a switch reads True)."""
+    pairs = {f"mode={argv[0]}"} | ({f"study={argv[1]}"} if argv[0] == "study" else set())
+    for i, tok in enumerate(argv):
+        if tok.startswith("--") and tok not in UNECHOED:
+            value = argv[i + 1] if i + 1 < len(argv) and not argv[i + 1].startswith("--") else True
+            pairs.add(f"{tok[2:]}={value}")
+    return pairs
+
+
+class TestHeader:
+    @pytest.mark.parametrize("name", HEADER_COMMANDS)
+    def test_every_option_is_echoed(self, tmp_path, name):
+        argv = HEADER_COMMANDS[name]
+        assert run(tmp_path, *argv, "--reproducible") == 0
+        files = sorted(tmp_path.iterdir()) if tmp_path.exists() else []
+        assert files or name == "validate"
+        for path in files:
+            text = read_file(path)
+            if path.suffix == ".svg":
+                line = re.search(r"<!-- (.*) -->", text).group(1)
+            else:
+                line = text.splitlines()[0]
+                assert line.startswith("# edmdkit=")
+            missing = echoed_pairs(argv) - set(line.split())
+            assert not missing, f"{path.name}: {sorted(missing)} not in {line!r}"
+
+    @pytest.mark.parametrize("name, expected", [
+        ("edmd", "mode=edmd system=logistic dict=legendre:8 measure=uniform:-1,1 "
+                 "M=1000 seed=0 tikhonov=0.0"),
+        # --M and --order unset: skipped; the derived provenance comes last
+        ("spectrum", "mode=spectrum system=logistic dict=legendre:8 measure=uniform:-1,1 "
+                     "analytic=True seed=0 provenance=analytic:order=64"),
+        ("study-strong-convergence", "mode=study study=strong-convergence system=logistic "
+                                     "family=legendre measure=uniform:-1,1 N=3,5,9,13,17 "
+                                     "M= seeds=1 horizon=5"),
+    ], ids=["edmd", "spectrum", "study-strong-convergence"])
+    def test_readme_header_line(self, tmp_path, name, expected):
+        assert run(tmp_path, *README_COMMANDS[name], "--reproducible") == 0
+        firsts = {read_file(path).splitlines()[0] for path in tmp_path.glob("*.csv")}
+        assert firsts == {f"# edmdkit={__version__} {expected}"}
 
 
 class TestExitCodes:
@@ -125,9 +184,11 @@ class TestExitCodes:
         # C A^i psi(x0) overflows: the M = 20 fit has spectral radius 1.45
         ["predict", *TRIPLE, "--x0", "0.3", "--horizon", "2000", "--M", "20"],
         ["study", "prediction", *TRIPLE, "--M", "20", "--x0", "0.3", "--horizon", "2000"],
+        # Gauss-Hermite nodes of a wide Gaussian leave the logistic domain
+        ["analytic", *TRIPLE[:4], "--measure", "gaussian:0,1"],
     ], ids=lambda argv: " ".join(argv))
     @pytest.mark.filterwarnings("ignore")
-    def test_non_finite_values_are_numerical_failure(self, tmp_path, capsys, argv):
+    def test_numerical_failure_is_one_prefixed_line(self, tmp_path, capsys, argv):
         assert run(tmp_path, *argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("edmdkit: numerical failure:") and err.count("\n") == 1
@@ -294,6 +355,31 @@ class TestConfigFile:
         assert code == 0
         header = read_file(tmp_path / "edmd_matrix.csv").splitlines()[0]
         assert "M=7" in header
+
+    def test_switch_in_file_matches_flag(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("system=logistic\ndict=legendre:8\nmeasure=uniform:-1,1\n"
+                       "analytic=true\nreproducible=YES\n", encoding="utf-8")
+        assert main(["spectrum", "--config", str(cfg), "--outdir", str(tmp_path / "a")]) == 0
+        assert run(tmp_path / "b", "spectrum", *TRIPLE, "--analytic", "--reproducible") == 0
+        for name in ["spectrum.csv", "spectrum.svg"]:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_switch_off_in_file(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("analytic=false\nreproducible=no\n", encoding="utf-8")
+        assert main(["spectrum", *TRIPLE, "--M", "50", "--config", str(cfg),
+                     "--outdir", str(tmp_path)]) == 0
+        header = read_file(tmp_path / "spectrum.csv").splitlines()[0]
+        assert "analytic=False" in header and "generated=" in header
+
+    @pytest.mark.parametrize("line", ["reproducible=maybe", "reproducible=1"])
+    def test_bad_switch_value_is_exit_one(self, tmp_path, capsys, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n", encoding="utf-8")
+        assert main(["edmd", *TRIPLE, "--M", "20", "--config", str(cfg),
+                     "--outdir", str(tmp_path)]) == 1
+        assert "configuration error" in capsys.readouterr().err
 
     def test_malformed_config_is_exit_one(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from edmdkit import (
+    ConfigError,
     RankDeficiencyError,
     SnapshotPair,
     apply_operator,
@@ -77,6 +78,12 @@ class TestFitEdmd:
         a = fit_edmd(pair, dic).A
         b = fit_edmd(pair, dic, tikhonov=1e-9).A
         assert np.max(np.abs(a - b)) <= 1e-7
+
+    @pytest.mark.parametrize("t", [-1.0, -1e-300, float("nan"), float("inf")])
+    def test_tikhonov_must_be_finite_and_nonnegative(self, t):
+        pair = generate_iid(LOGISTIC, UNIFORM11, 50, seed=0)
+        with pytest.raises(ConfigError, match="tikhonov"):
+            fit_edmd(pair, parse_dictionary("legendre:4"), tikhonov=t)
 
     @pytest.mark.parametrize("t", [1e-3, 1.0])
     @pytest.mark.parametrize("case", ["legendre", "fourier"])
