@@ -128,8 +128,9 @@ def build_parser() -> _Parser:
 
     q = add(sub, "spectrum", _cmd_spectrum, triple,
             help="eigendecompose a fit and emit CSV + SVG")
-    q.add_argument("--analytic", action="store_true")
-    q.add_argument("--M", type=_positive)
+    fit = q.add_mutually_exclusive_group(required=True)
+    fit.add_argument("--analytic", action="store_true")
+    fit.add_argument("--M", type=_positive)
     q.add_argument("--seed", type=_nonnegative, default=0)
     q.add_argument("--order", type=_positive)
 
@@ -137,8 +138,9 @@ def build_parser() -> _Parser:
             help="finite-horizon prediction against the true trajectory")
     q.add_argument("--x0", type=_finite, required=True)
     q.add_argument("--horizon", type=_nonnegative, required=True)
-    q.add_argument("--analytic", action="store_true")
-    q.add_argument("--M", type=_positive)
+    fit = q.add_mutually_exclusive_group(required=True)
+    fit.add_argument("--analytic", action="store_true")
+    fit.add_argument("--M", type=_positive)
     q.add_argument("--seed", type=_nonnegative, default=0)
 
     q = add(sub, "eigenmeasure", _cmd_eigenmeasure,
@@ -301,8 +303,6 @@ def _cmd_analytic(args):
 def _fit_for(args, system, dic, measure):
     if args.analytic:
         return fit_analytic(system, dic, measure, quad_order=getattr(args, "order", None))
-    if args.M is None:
-        raise ConfigError("either --analytic or --M is required")
     return fit_edmd(generate_iid(system, measure, args.M, args.seed), dic)
 
 

@@ -1,24 +1,35 @@
-"""Snapshot generation and the snapshot CSV format."""
+"""Snapshot generation, a pair's one dictionary evaluation, the snapshot CSV format."""
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import systems
 from ._table import float_rows, read_table, write_table
+from .dictionary import Dictionary, evaluate_batch
 from .systems import DynamicalSystem, Measure, as_state
 
 
 @dataclass(frozen=True)
 class SnapshotPair:
-    """Data matrices X, Y of shape (d, M) with y_j = T(x_j) columnwise."""
+    """Data matrices X, Y of shape (d, M) with y_j = T(x_j) columnwise.
+
+    X and Y are made read-only on construction, so the one slot that holds
+    psi(X), psi(Y) for the last dictionary (see :func:`_observable_matrices`)
+    can never go stale.
+    """
 
     X: np.ndarray
     Y: np.ndarray
     provenance: str  # "iid:seed=<s>;M=<M>" | "trajectory:x0=<...>;M=<M>"
+    _psi: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.X.setflags(write=False)
+        self.Y.setflags(write=False)
 
     @property
     def count(self):
@@ -31,6 +42,24 @@ class SnapshotPair:
     @property
     def is_trajectory(self):
         return self.provenance.startswith("trajectory")
+
+
+def _observable_matrices(pair: SnapshotPair, dic: Dictionary) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only psi(X), psi(Y) of ``pair``, the one evaluation of its data.
+
+    The pair's slot keeps the dictionary and both matrices, 2 N M values; it
+    is filled on first use and refilled when ``dic`` differs.  Refilling
+    computes the same arrays, so concurrent callers are safe.
+    """
+    slot = pair._psi
+    if slot is None or slot[0] != dic:
+        psix = evaluate_batch(dic, pair.X)
+        psiy = evaluate_batch(dic, pair.Y)
+        psix.setflags(write=False)
+        psiy.setflags(write=False)
+        slot = (dic, psix, psiy)
+        object.__setattr__(pair, "_psi", slot)
+    return slot[1], slot[2]
 
 
 def generate_iid(system: DynamicalSystem, measure: Measure, count: int, seed: int) -> SnapshotPair:

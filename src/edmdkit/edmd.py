@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._table import float_rows, read_table, write_table
-from .data import SnapshotPair
-from .dictionary import Dictionary, evaluate_batch, parse_dictionary
+from .data import SnapshotPair, _observable_matrices
+from .dictionary import Dictionary, parse_dictionary
 from .errors import ConfigError, check_rank
 from .systems import Domain, box, circle
 
@@ -73,8 +73,7 @@ def fit_edmd(snapshots: SnapshotPair, dic: Dictionary, tikhonov: float = 0.0) ->
     """
     if not (np.isfinite(tikhonov) and tikhonov >= 0.0):
         raise ConfigError(f"tikhonov must be a finite nonnegative number, got {tikhonov!r}")
-    psix = evaluate_batch(dic, snapshots.X)
-    psiy = evaluate_batch(dic, snapshots.Y)
+    psix, psiy = _observable_matrices(snapshots, dic)
     n, m = psix.shape
     u, s, vh = np.linalg.svd(psix, full_matrices=False)
     sig_max = float(s[0]) if s.size else 0.0
@@ -109,9 +108,10 @@ def theorem1_residual(k: KoopmanMatrix, snapshots: SnapshotPair, dic: Dictionary
     the empirical projection of psi_i o T for every basis element.  Raises
     RankDeficiencyError when G is numerically singular, in which case the
     projection characterization does not pin down a unique minimizer.
+    psi(X) and psi(Y) are the pair's own, evaluated once for ``dic`` and shared
+    with fit_edmd and residual_scale.
     """
-    psix = evaluate_batch(dic, snapshots.X)
-    psiy = evaluate_batch(dic, snapshots.Y)
+    psix, psiy = _observable_matrices(snapshots, dic)
     n, m = psix.shape
     psix_h = psix.conj().T
     g = psix @ psix_h
@@ -122,9 +122,9 @@ def theorem1_residual(k: KoopmanMatrix, snapshots: SnapshotPair, dic: Dictionary
 
 def residual_scale(snapshots: SnapshotPair, dic: Dictionary) -> float:
     """Natural magnitude of theorem1_residual terms: max|psi(Y)| * max|psi(X)|,
-    floored at one."""
-    psix = evaluate_batch(dic, snapshots.X)
-    psiy = evaluate_batch(dic, snapshots.Y)
+    floored at one.  Reads the same psi(X), psi(Y) of the pair as
+    theorem1_residual, so the two together evaluate the dictionary once."""
+    psix, psiy = _observable_matrices(snapshots, dic)
     return max(1.0, float(np.max(np.abs(psiy)) * np.max(np.abs(psix))))
 
 

@@ -23,7 +23,7 @@ from ._table import float_rows, read_table, write_table
 from .dictionary import derivative_batch, evaluate_batch
 from .edmd import KoopmanMatrix
 from .errors import EigensolverError, check_rank
-from .data import SnapshotPair
+from .data import SnapshotPair, _observable_matrices
 from .systems import DynamicalSystem, QuadratureRule
 
 
@@ -134,7 +134,8 @@ def eigenmeasure_extract(
     Requires trajectory provenance and a numerically invertible psi(X) (the
     exact-interpolation regime); the sup-norm normalization of the paper is
     approximated by the max over the trajectory atoms, the only points where
-    the downstream identities are evaluated.
+    the downstream identities are evaluated.  phi and its tail value are read
+    from the pair's psi(X), psi(Y), evaluated once for all eigenpairs.
     """
     if not snapshots.is_trajectory:
         raise ValueError("eigenmeasure extraction requires trajectory snapshots")
@@ -146,9 +147,13 @@ def eigenmeasure_extract(
     if not 0 <= j < decomp.size:
         raise IndexError(f"eigenpair index {j} out of range for size {decomp.size}")
     check_rank("psi(X) in the M = N regime", k.sigma_min, k.sigma_max, n)
-    phi = eigenfunction_values(decomp, j, k.dictionary, snapshots.X)
-    # T x_N is the last Y column; no re-application of the map needed
-    tail = eigenfunction_values(decomp, j, k.dictionary, snapshots.Y[:, -1:])[0]
+    psix, psiy = _observable_matrices(snapshots, k.dictionary)
+    w = decomp.eigen_coeffs[:, j].conj()
+    phi = w @ psix
+    # T x_N is the last Y column; no re-application of the map needed.  A
+    # contiguous copy of it gets the same BLAS call, and so the same bits, as
+    # phi evaluated at that one point
+    tail = (w @ np.ascontiguousarray(psiy[:, -1:]))[0]
     sup = float(np.max(np.abs(phi)))
     if sup == 0.0:
         raise ValueError("eigenfunction vanishes at every trajectory atom")

@@ -430,18 +430,14 @@ def parse_measure(spec: str) -> Measure:
     """Build a measure from ``uniform:<lo>,<hi>`` or ``gaussian:<mean>,<var>``."""
     name, _, body = spec.partition(":")
     parts = body.split(",") if body else []
-    if name == "uniform":
-        if len(parts) != 2:
-            raise ConfigError(f"uniform takes <lo>,<hi>, got {spec!r}")
-        lo, hi = (_number(v, spec) for v in parts)
-        if not lo < hi:
-            raise ConfigError(f"uniform requires lo < hi, got {spec!r}")
-        return uniform(box(lo, hi))
-    if name == "gaussian":
-        if len(parts) != 2:
-            raise ConfigError(f"gaussian takes <mean>,<var>, got {spec!r}")
-        m, v = (_number(p, spec) for p in parts)
-        if v <= 0:
-            raise ConfigError("gaussian variance must be positive")
-        return gaussian(m, v)
-    raise ConfigError(f"unknown measure {spec!r}")
+    if name not in ("uniform", "gaussian"):
+        raise ConfigError(f"unknown measure {spec!r}")
+    if len(parts) != 2:
+        form = "<lo>,<hi>" if name == "uniform" else "<mean>,<var>"
+        raise ConfigError(f"{name} takes {form}, got {spec!r}")
+    a, b = (_number(v, spec) for v in parts)
+    # Domain and Measure own the lo < hi and var > 0 rules
+    try:
+        return uniform(box(a, b)) if name == "uniform" else gaussian(a, b)
+    except ValueError as exc:
+        raise ConfigError(f"invalid measure {spec!r}: {exc}") from exc

@@ -170,6 +170,12 @@ class TestExitCodes:
          "--measure", "gaussian:0,0.0001", "--order", "400"],
         ["study", "mc-rate", *TRIPLE, "--M", "100,100", "--seeds", "1"],
         [*STRONG, "--N", "3,3"],
+        # --analytic and --M name two different fits
+        ["spectrum", *TRIPLE, "--analytic", "--M", "100"],
+        ["predict", *TRIPLE, "--x0", "0.3", "--horizon", "3", "--analytic", "--M", "100"],
+        ["edmd", *TRIPLE[:4], "--measure", "uniform:1,0", "--M", "100"],
+        ["edmd", *TRIPLE[:4], "--measure", "gaussian:0,0", "--M", "100"],
+        ["edmd", *TRIPLE[:4], "--measure", "gaussian:0,-1", "--M", "100"],
     ], ids=lambda argv: " ".join(argv))
     def test_bad_input_is_config_error(self, tmp_path, capsys, argv):
         assert run(tmp_path, *argv) == 1

@@ -4,11 +4,18 @@ import numpy as np
 import pytest
 
 from edmdkit import (
+    data,
+    eig,
+    eigenmeasure_extract,
+    fit_edmd,
     generate_iid,
     generate_trajectory,
+    parse_dictionary,
     parse_measure,
     parse_system,
     read_snapshots_csv,
+    residual_scale,
+    theorem1_residual,
     write_snapshots_csv,
 )
 
@@ -70,3 +77,68 @@ class TestCsvRoundTrip:
         assert back.X.tobytes() == pair.X.tobytes()
         assert back.Y.tobytes() == pair.Y.tobytes()
         assert back.provenance == pair.provenance
+
+
+class TestOneEvaluation:
+    """A pair's psi(X), psi(Y) are evaluated once and read by every sampled quantity."""
+
+    LOGISTIC = parse_system("logistic")
+    ROTATION = parse_system("rotation:omega=0.8378")
+
+    def iid(self):
+        return generate_iid(self.LOGISTIC, parse_measure("uniform:-1,1"), 500, seed=3)
+
+    def trajectory(self):
+        return generate_trajectory(self.ROTATION, [0.7], 15)
+
+    @pytest.fixture
+    def evaluated(self, monkeypatch):
+        """Every point set handed to the dictionary, in call order."""
+        seen = []
+        original = data.evaluate_batch
+
+        def counting(dic, points):
+            seen.append(points)
+            return original(dic, points)
+
+        monkeypatch.setattr(data, "evaluate_batch", counting)
+        return seen
+
+    def test_iid_pair_evaluated_once(self, evaluated):
+        dic = parse_dictionary("legendre:6")
+        pair = self.iid()
+        k = fit_edmd(pair, dic)
+        res = theorem1_residual(k, pair, dic)
+        scale = residual_scale(pair, dic)
+        assert len(evaluated) == 2
+        assert evaluated[0] is pair.X and evaluated[1] is pair.Y
+        # the same numbers as on pairs that were never evaluated before
+        assert np.array_equal(k.A, fit_edmd(self.iid(), dic).A)
+        assert res == theorem1_residual(k, self.iid(), dic)
+        assert scale == residual_scale(self.iid(), dic)
+
+    def test_trajectory_pair_evaluated_once(self, evaluated):
+        dic = parse_dictionary("fourier:7", self.ROTATION.domain)
+        pair = self.trajectory()
+        k = fit_edmd(pair, dic)
+        decomp = eig(k)
+        measures = [eigenmeasure_extract(k, decomp, j, pair) for j in range(k.size)]
+        assert len(evaluated) == 2
+        assert evaluated[0] is pair.X and evaluated[1] is pair.Y
+        for j, nu in enumerate(measures):
+            fresh = eigenmeasure_extract(k, decomp, j, self.trajectory())
+            assert np.array_equal(nu.weights, fresh.weights)
+            assert nu.tail_value == fresh.tail_value
+
+    def test_new_dictionary_replaces_the_slot(self):
+        pair = self.iid()
+        for spec in ["legendre:4", "legendre:6", "legendre:4"]:
+            dic = parse_dictionary(spec)
+            assert np.array_equal(fit_edmd(pair, dic).A, fit_edmd(self.iid(), dic).A)
+
+    def test_data_and_cached_psi_are_read_only(self):
+        pair = self.iid()
+        psix, psiy = data._observable_matrices(pair, parse_dictionary("legendre:4"))
+        for array in [pair.X, pair.Y, psix, psiy]:
+            with pytest.raises(ValueError):
+                array[0, 0] = 0.5
