@@ -17,7 +17,7 @@ import numpy as np
 from . import systems
 from .dictionary import Dictionary, _gram, _gram_solve, evaluate_batch
 from .edmd import KoopmanMatrix
-from .errors import DomainEscapeError, DomainEscapeWarning, QuadratureSaturationWarning, check_rank
+from .errors import DomainEscapeError, DomainEscapeWarning, QuadratureSaturationWarning
 from .systems import DynamicalSystem, Measure, QuadratureRule
 
 _MAX_NODES = 2**14
@@ -67,14 +67,8 @@ def _fit(system, dic, measure, order):
     """A = M_T G^{-1} and the ascending Gram eigenvalues under the Gauss rule
     of ``order`` nodes; G counts as singular at N * eps * lambda_max."""
     g, m_t = _moments(system, dic, systems.gauss_rule(measure, order))
-    what = "Gram matrix of the dictionary"
-    if dic.orthonormal_wrt == measure:
-        # A is M_T: the eigenvalues alone serve sigma and the rank rule
-        lam = np.linalg.eigvalsh(g)
-        check_rank(what, lam[0], lam[-1], dic.size)
-        return m_t, lam
     # A^H = G^{-1} M_T^H since G is Hermitian
-    a_h, lam = _gram_solve(what, g, m_t.conj().T, dic.size)
+    a_h, lam = _gram_solve("Gram matrix of the dictionary", g, m_t.conj().T, dic.size)
     return a_h.conj().T, lam
 
 
@@ -86,9 +80,8 @@ def fit_analytic(
 ) -> KoopmanMatrix:
     """Sampling-free construction A = M_T G^{-1}.
 
-    When the dictionary is orthonormal under ``measure`` the Gram solve is
-    skipped and A equals the transfer matrix exactly.  A numerically singular
-    Gram raises RankDeficiencyError, orthonormal dictionary or not.
+    Every dictionary takes the one Gram solve, orthonormal under ``measure``
+    or not; a numerically singular Gram raises RankDeficiencyError.
     """
     order = quad_order if quad_order is not None else default_quad_order(system, dic)
     escalate = order is None

@@ -94,6 +94,10 @@ def _int_list(text):
     return values
 
 
+# spectrum and predict take one: an analytic fit or a sampled one of M points
+_FIT_CHOICE = {"analytic": {"action": "store_true"}, "M": {"type": _positive}}
+
+
 def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--outdir", help="output directory (default: $EDMDKIT_OUTDIR or .)")
@@ -129,8 +133,8 @@ def build_parser() -> _Parser:
     q = add(sub, "spectrum", _cmd_spectrum, triple,
             help="eigendecompose a fit and emit CSV + SVG")
     fit = q.add_mutually_exclusive_group(required=True)
-    fit.add_argument("--analytic", action="store_true")
-    fit.add_argument("--M", type=_positive)
+    for name, kw in _FIT_CHOICE.items():
+        fit.add_argument(f"--{name}", **kw)
     q.add_argument("--seed", type=_nonnegative, default=0)
     q.add_argument("--order", type=_positive)
 
@@ -139,8 +143,8 @@ def build_parser() -> _Parser:
     q.add_argument("--x0", type=_finite, required=True)
     q.add_argument("--horizon", type=_nonnegative, required=True)
     fit = q.add_mutually_exclusive_group(required=True)
-    fit.add_argument("--analytic", action="store_true")
-    fit.add_argument("--M", type=_positive)
+    for name, kw in _FIT_CHOICE.items():
+        fit.add_argument(f"--{name}", **kw)
     q.add_argument("--seed", type=_nonnegative, default=0)
 
     q = add(sub, "eigenmeasure", _cmd_eigenmeasure,
@@ -192,8 +196,9 @@ def build_parser() -> _Parser:
 # config files
 
 
-def _load_config_tokens(path):
-    tokens = []
+def _load_config_entries(path):
+    """The file's ``(key, tokens)`` pairs in file order."""
+    entries = []
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -211,15 +216,16 @@ def _load_config_tokens(path):
         # true/yes turns a switch on, false/no leaves it off; anything else
         # is the option's value, checked by the parser like a typed one
         if value.lower() in ("true", "yes"):
-            tokens.append(f"--{key}")
+            entries.append((key, [f"--{key}"]))
         elif value.lower() not in ("false", "no"):
-            tokens.extend([f"--{key}", value])
-    return tokens
+            entries.append((key, [f"--{key}", value]))
+    return entries
 
 
 def _inject_config(argv):
-    """Splice config-file tokens in front of the explicit flags so the
-    command line wins on conflicts."""
+    """Splice config-file tokens in front of the explicit flags.  The command
+    line wins: a file entry is dropped when the command line gives that
+    option, or any option of ``_FIT_CHOICE`` for an entry in it."""
     path = None
     for i, tok in enumerate(argv):
         if tok == "--config" and i + 1 < len(argv):
@@ -233,7 +239,11 @@ def _inject_config(argv):
     split = 0
     while split < len(argv) and not argv[split].startswith("-"):
         split += 1
-    return argv[:split] + _load_config_tokens(path) + argv[split:]
+    given = {tok[2:].partition("=")[0] for tok in argv if tok.startswith("--")}
+    if given & _FIT_CHOICE.keys():
+        given |= _FIT_CHOICE.keys()
+    tokens = [t for key, toks in _load_config_entries(path) if key not in given for t in toks]
+    return argv[:split] + tokens + argv[split:]
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NonFiniteError, check_rank
-from .systems import Domain, Measure, QuadratureRule, as_points, as_state, box, circle, uniform
+from .systems import Domain, QuadratureRule, as_points, as_state, box, circle
 
 
 @dataclass(frozen=True)
@@ -50,13 +50,6 @@ class Dictionary:
         if self.family == "sine":
             return 1
         return self.param + 1
-
-    @property
-    def orthonormal_wrt(self) -> Measure | None:
-        """The measure this family is orthonormal under, if any."""
-        if self.family in ("legendre", "fourier", "sine"):
-            return uniform(self.domain)
-        return None
 
     @property
     def spec_string(self):

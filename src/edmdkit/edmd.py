@@ -9,9 +9,9 @@ vector c.  The fitted matrix A acts on *functions* through its rows,
 
 so the induced map on coefficient vectors is  c  ->  A^H c  (note the
 Hermitian transpose).  Getting this transposition wrong is the classic bug in
-EDMD implementations; every operation in this package fixes the convention
-through :func:`apply_operator` and the left-eigenvector choice in
-:mod:`edmdkit.spectral`.
+EDMD implementations.  ``predict._rollout`` fixes the convention for
+predictions (psi -> A psi, so observable rows C give C A^i psi) and
+:func:`edmdkit.spectral.eig` for spectra (left eigenvectors, phi = w^H psi).
 """
 
 from __future__ import annotations

@@ -97,10 +97,8 @@ def oscillation_seminorm(decomp: SpectralDecomp, j: int, dic, rule: QuadratureRu
     eigenvalues carried only by such eigenfunctions certify nothing about the
     true spectrum, so this is the practical spuriousness diagnostic.
     """
-    if not 0 <= j < decomp.size:
-        raise IndexError(f"eigenpair index {j} out of range for size {decomp.size}")
+    phi = eigenfunction_values(decomp, j, dic, rule.nodes)
     w = decomp.eigen_coeffs[:, j]
-    phi = w.conj() @ evaluate_batch(dic, rule.nodes)
     grads = np.einsum("n,ndm->dm", w.conj(), derivative_batch(dic, rule.nodes))
     energy = float(np.sum(rule.weights * np.sum(np.abs(grads) ** 2, axis=0)))
     norm_sq = float(np.sum(rule.weights * np.abs(phi) ** 2))

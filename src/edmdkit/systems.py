@@ -19,6 +19,7 @@ import numpy as np
 from .errors import ConfigError, DomainEscapeWarning, NonFiniteError
 
 TWO_PI = 2.0 * math.pi
+_CONTAINS_TOL = 1e-9  # box-bound slack before a point counts as escaped
 
 
 @dataclass(frozen=True)
@@ -45,14 +46,14 @@ class Domain:
     def dimension(self):
         return len(self.lower)
 
-    def contains(self, points, tol=1e-9):
+    def contains(self, points):
         """Boolean mask over columns of ``points``; circle axes always match."""
         pts = as_points(points, self.dimension)
         if self.kind == "circle":
             return np.ones(pts.shape[1], dtype=bool)
         lo = np.asarray(self.lower)[:, None]
         hi = np.asarray(self.upper)[:, None]
-        return np.all((pts >= lo - tol) & (pts <= hi + tol), axis=0)
+        return np.all((pts >= lo - _CONTAINS_TOL) & (pts <= hi + _CONTAINS_TOL), axis=0)
 
     def wrap(self, points):
         """Reduce circle coordinates mod 2*pi; boxes pass through unchanged."""
@@ -265,56 +266,52 @@ def _newton(evaluate, theta, steps):
 def _leggauss(order):
     """Gauss-Legendre nodes and weights on [-1, 1], ascending and read-only.
 
-    Up to 128 nodes this is numpy's ``leggauss`` (a dense eigensolve).  Above
-    that the rule costs O(order): Newton steps in theta, x = cos(theta), from
-    the Tricomi guesses theta_k = pi (4k - 1) / (4 order + 2) on the half
-    theta in (0, pi/2]; the other half is the mirror image, so the rule is
-    exactly symmetric and an odd order has a middle node of exactly 0.0.
+    One O(order) generator for every order: Newton steps in theta,
+    x = cos(theta), from the Tricomi guesses theta_k = pi (4k - 1) / (4 order + 2)
+    on the half theta in (0, pi/2]; the other half is the mirror image, so the
+    rule is exactly symmetric and an odd order has a middle node of exactly 0.0.
 
     - Interior nodes: three steps on the Stieltjes series of ``_stieltjes``,
       P_n(cos t) = C_n * series, with
       C_n = (4/pi) prod_{j<=n} j/(j + 1/2) = (2/sqrt(pi)) Gamma(n+1)/Gamma(n+3/2)
       summed in logs, exp(fsum(log1p(-1/2 / (j + 1/2)))); ``lgamma`` is good
       to only about 4e-11 relative at n = 16384.
-    - The ``_EDGE_NODES`` nodes nearest each end, where the series does not
-      converge far enough: four steps on the exact cosine series
-      P_n(cos t) = sum_k a_k a_{n-k} cos((n - 2k) t), a_k = (1/2)_k / k!,
-      whose coefficients are positive and sum to 1; O(order) per node.
+    - The ``_EDGE_NODES`` nodes nearest each end (all of the half up to 20
+      nodes), where the series does not converge far enough: four steps on the
+      exact cosine series P_n(cos t) = sum_k a_k a_{n-k} cos((n - 2k) t),
+      a_k = (1/2)_k / k!, whose coefficients are positive and sum to 1.
 
     Both step counts are one more than the Tricomi guesses need at every
-    order from 129 to 16384.  The weights are 2 / (dP_n/dt)^2 at the nodes.
-    Against Newton on the three-term recurrence (``tests/_oracles.py``) the
-    nodes agree to 3.4e-16 and the weights to 1.4e-16 absolute for orders
-    129 to 4096.  Against 40-digit values at 129, 257 and 1000 nodes the
-    errors are at most 8.3e-17 and 1.3e-17, where the recurrence's weights
-    are off by up to 1.3e-16.  The moments of x^0 ... x^40 are exact to
-    2e-15 at 16384 nodes.  Cached, so the arrays are shared: they are
-    read-only, and ``_axis_rule`` rescales into new arrays.
+    order up to 16384.  The weights are 2 / (dP_n/dt)^2 at the nodes.  Against
+    mpmath values the nodes are off by at most 2.8e-16 and the weights by
+    7.5e-16 at every order from 1 to 128 (2.6e-16 from 22 nodes on; numpy's
+    ``leggauss`` weights by up to 9.5e-15), and by 8.3e-17 and 1.3e-17 at 129,
+    257 and 1000 nodes.  Newton on the three-term recurrence
+    (``tests/_oracles.py``) agrees to 3.4e-16 and 1.4e-16 for orders 129 to
+    4096.  The moments of x^0 ... x^40 are exact to 2e-15 at 16384 nodes.
+    Cached and shared, hence read-only; ``_axis_rule`` rescales into new arrays.
     """
-    if order <= 128:
-        x, w = np.polynomial.legendre.leggauss(order)
-    else:
-        n = order
-        theta = math.pi * (4.0 * np.arange(1, (n + 1) // 2 + 1) - 1.0) / (4.0 * n + 2.0)
-        j = np.arange(1, n + 1)
-        c_n = 4.0 / math.pi * math.exp(math.fsum(np.log1p(-0.5 / (j + 0.5))))
-        a = np.cumprod(np.concatenate(([1.0], (j - 0.5) / j)))
-        coef, freq = a * a[::-1], n - 2.0 * np.arange(n + 1)
+    n = order
+    theta = math.pi * (4.0 * np.arange(1, (n + 1) // 2 + 1) - 1.0) / (4.0 * n + 2.0)
+    j = np.arange(1, n + 1)
+    c_n = 4.0 / math.pi * math.exp(math.fsum(np.log1p(-0.5 / (j + 0.5))))
+    a = np.cumprod(np.concatenate(([1.0], (j - 0.5) / j)))
+    coef, freq = a * a[::-1], n - 2.0 * np.arange(n + 1)
 
-        def cosine_series(t):
-            # numpy sums, not BLAS: the bits must not depend on the thread count
-            arg = np.multiply.outer(t, freq)
-            p = np.sum(np.cos(arg) * coef, axis=1)
-            return p, -np.sum(np.sin(arg) * (coef * freq), axis=1)
+    def cosine_series(t):
+        # numpy sums, not BLAS: the bits must not depend on the thread count
+        arg = np.multiply.outer(t, freq)
+        p = np.sum(np.cos(arg) * coef, axis=1)
+        return p, -np.sum(np.sin(arg) * (coef * freq), axis=1)
 
-        edge, d_edge = _newton(cosine_series, theta[:_EDGE_NODES], 4)
-        inner, d_inner = _newton(lambda t: _stieltjes(t, n), theta[_EDGE_NODES:], 3)
-        lower = -np.cos(np.concatenate((edge, inner)))  # ascending to the centre
-        half_w = 2.0 / np.concatenate((d_edge, c_n * d_inner)) ** 2
-        if n % 2:
-            lower[-1] = 0.0
-        x = np.concatenate((lower, -lower[: n // 2][::-1]))
-        w = np.concatenate((half_w, half_w[: n // 2][::-1]))
+    edge, d_edge = _newton(cosine_series, theta[:_EDGE_NODES], 4)
+    inner, d_inner = _newton(lambda t: _stieltjes(t, n), theta[_EDGE_NODES:], 3)
+    lower = -np.cos(np.concatenate((edge, inner)))  # ascending to the centre
+    half_w = 2.0 / np.concatenate((d_edge, c_n * d_inner)) ** 2
+    if n % 2:
+        lower[-1] = 0.0
+    x = np.concatenate((lower, -lower[: n // 2][::-1]))
+    w = np.concatenate((half_w, half_w[: n // 2][::-1]))
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w

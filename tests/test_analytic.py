@@ -61,7 +61,8 @@ class TestFitAnalytic:
         dic = parse_dictionary("legendre:8")
         k = fit_analytic(LOGISTIC, dic, UNIFORM11)
         rule = gauss_rule(UNIFORM11, 64)
-        assert np.array_equal(k.A, transfer_matrix(LOGISTIC, dic, rule).astype(complex))
+        # the Gram solve of an orthonormal dictionary leaves only roundoff
+        assert np.max(np.abs(k.A - transfer_matrix(LOGISTIC, dic, rule))) <= 1e-14
         assert k.provenance == "analytic:order=64"
 
     def test_monomial_rows(self):

@@ -379,6 +379,24 @@ class TestConfigFile:
         header = read_file(tmp_path / "spectrum.csv").splitlines()[0]
         assert "analytic=False" in header and "generated=" in header
 
+    def test_analytic_flag_overrides_file_m(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("M=100\n", encoding="utf-8")
+        assert main(["spectrum", *TRIPLE, "--config", str(cfg), "--analytic",
+                     "--outdir", str(tmp_path), "--reproducible"]) == 0
+        header = read_file(tmp_path / "spectrum.csv").splitlines()[0].split()
+        assert "analytic=True" in header and "provenance=analytic:order=64" in header
+        assert not any(part.startswith("M=") for part in header)
+
+    def test_m_flag_overrides_file_analytic(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("analytic=true\n", encoding="utf-8")
+        assert main(["predict", *TRIPLE, "--x0", "0.3", "--horizon", "2", "--M", "100",
+                     "--config", str(cfg), "--outdir", str(tmp_path), "--reproducible"]) == 0
+        header = read_file(tmp_path / "prediction.csv").splitlines()[0].split()
+        assert "analytic=False" in header and "M=100" in header
+        assert any(part.startswith("provenance=sampled:") for part in header)
+
     @pytest.mark.parametrize("line", ["reproducible=maybe", "reproducible=1"])
     def test_bad_switch_value_is_exit_one(self, tmp_path, capsys, line):
         cfg = tmp_path / "bad.cfg"
