@@ -1,11 +1,13 @@
 """Sampling-free Koopman matrices via quadrature.
 
-Builds A = M_T G^{-1} where G is the Gram matrix of the dictionary under the
-reference measure and M_T is the transfer matrix with entries
-integral of psi_i(T x) conj(psi_j(x)).  Closed-form integrals are not
-special-cased: for polynomial maps and dictionaries an exact Gauss rule is
-mathematically equivalent and keeps a single code path; for everything else
-the quadrature order is escalated until two successive orders agree.
+Builds A = M_T G^{-1}, G the Gram matrix of the dictionary under the reference
+measure and M_T the transfer matrix with entries integral of
+psi_i(T x) conj(psi_j(x)), as A^H = R11^{-1} R12 from the QR of the rows
+sqrt(w_k) [psi(x_k)^H | psi(T x_k)^H], never forming G = R11^H R11.
+Closed-form integrals are not special-cased: for polynomial maps and
+dictionaries an exact Gauss rule is mathematically equivalent and keeps a
+single code path; for everything else the quadrature order is escalated until
+two successive orders agree.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import warnings
 import numpy as np
 
 from . import systems
-from .dictionary import Dictionary, _gram, _gram_solve, evaluate_batch
+from .dictionary import Dictionary, _reduce, _solve, evaluate_batch
 from .edmd import KoopmanMatrix
 from .errors import DomainEscapeError, DomainEscapeWarning, QuadratureSaturationWarning
 from .systems import DynamicalSystem, Measure, QuadratureRule
@@ -32,20 +34,18 @@ def transfer_matrix(system: DynamicalSystem, dic: Dictionary, rule: QuadratureRu
     domain, since the integrand is then evaluated where the dictionary has no
     meaning.
     """
-    return _moments(system, dic, rule)[1]
-
-
-def _moments(system, dic, rule):
-    """G and M_T under ``rule`` from one psi pass on the nodes, one on their images."""
     psi_x = evaluate_batch(dic, rule.nodes)
+    return (evaluate_batch(dic, _images(system, rule)) * rule.weights) @ psi_x.conj().T
+
+
+def _images(system, rule):
+    """T of the rule's nodes; a node sent outside the domain raises DomainEscapeError."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", DomainEscapeWarning)
         try:
-            tx = systems.apply_batch(system, rule.nodes)
+            return systems.apply_batch(system, rule.nodes)
         except DomainEscapeWarning as w:
             raise DomainEscapeError(str(w)) from None
-    psi_tx = evaluate_batch(dic, tx)
-    return _gram(psi_x, rule.weights), (psi_tx * rule.weights) @ psi_x.conj().T
 
 
 def default_quad_order(system: DynamicalSystem, dic: Dictionary) -> int | None:
@@ -64,12 +64,13 @@ def default_quad_order(system: DynamicalSystem, dic: Dictionary) -> int | None:
 
 
 def _fit(system, dic, measure, order):
-    """A = M_T G^{-1} and the ascending Gram eigenvalues under the Gauss rule
-    of ``order`` nodes; G counts as singular at N * eps * lambda_max."""
-    g, m_t = _moments(system, dic, systems.gauss_rule(measure, order))
-    # A^H = G^{-1} M_T^H since G is Hermitian
-    a_h, lam = _gram_solve("Gram matrix of the dictionary", g, m_t.conj().T, dic.size)
-    return a_h.conj().T, lam
+    """A and the descending Gram eigenvalues sigma(R11)^2 under the Gauss rule
+    of ``order`` nodes; R11 counts as singular at N * eps * sigma_max."""
+    rule = systems.gauss_rule(measure, order)
+    rows = ((evaluate_batch(dic, rule.nodes), evaluate_batch(dic, tx), rule.weights)
+            for tx in [_images(system, rule)])
+    a_h, s = _solve(_reduce(rows), dic.size, dic.size, what="psi on the quadrature nodes")
+    return a_h.conj().T, s**2
 
 
 def fit_analytic(
@@ -80,8 +81,8 @@ def fit_analytic(
 ) -> KoopmanMatrix:
     """Sampling-free construction A = M_T G^{-1}.
 
-    Every dictionary takes the one Gram solve, orthonormal under ``measure``
-    or not; a numerically singular Gram raises RankDeficiencyError.
+    Every dictionary takes the one reduction and solve, orthonormal under
+    ``measure`` or not; a numerically singular R11 raises RankDeficiencyError.
     """
     order = quad_order if quad_order is not None else default_quad_order(system, dic)
     escalate = order is None
@@ -108,6 +109,6 @@ def fit_analytic(
         A=np.ascontiguousarray(a, dtype=complex),
         dictionary=dic,
         provenance=f"analytic:order={order}",
-        sigma_max=float(lam[-1]),
-        sigma_min=float(max(lam[0], 0.0)),
+        sigma_max=float(lam[0]),
+        sigma_min=float(lam[-1]),
     )

@@ -9,7 +9,7 @@ table format itself (header line, shortest-repr floats, complex numbers as
 paired re,im columns) lives in :mod:`edmdkit._table`.  Reruns with
 identical configuration, seeds and BLAS thread count are byte-identical under
 ``--reproducible``, which suppresses the timestamp in that header.  Across
-thread counts only the README commands are checked to match.
+thread counts CI checks the README commands and one larger sampled study.
 
 Configuration files are plain ``key=value`` lines mirroring the long option
 names one-to-one, a switch being on for ``true``/``yes`` and off for
@@ -54,6 +54,9 @@ OUTDIR_ENV = "EDMDKIT_OUTDIR"
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):  # _inject_config matches whole names only
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise ConfigError(message)
 

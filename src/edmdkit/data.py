@@ -1,4 +1,4 @@
-"""Snapshot generation, a pair's one dictionary evaluation, the snapshot CSV format."""
+"""Snapshot generation, a pair's one least-squares reduction, the snapshot CSV format."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import numpy as np
 
 from . import systems
 from ._table import float_rows, read_table, write_table
-from .dictionary import Dictionary, evaluate_batch
+from .dictionary import _BLOCK, Dictionary, _reduce, evaluate_batch
 from .systems import DynamicalSystem, Measure, as_state
 
 
@@ -17,15 +17,14 @@ from .systems import DynamicalSystem, Measure, as_state
 class SnapshotPair:
     """Data matrices X, Y of shape (d, M) with y_j = T(x_j) columnwise.
 
-    X and Y are made read-only on construction, so the one slot that holds
-    psi(X), psi(Y) for the last dictionary (see :func:`_observable_matrices`)
-    can never go stale.
+    X and Y are made read-only on construction, so the one slot holding the
+    pair's least-squares reduction (:func:`_reduction`) can never go stale.
     """
 
     X: np.ndarray
     Y: np.ndarray
     provenance: str  # "iid:seed=<s>;M=<M>" | "trajectory:x0=<...>;M=<M>"
-    _psi: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _r: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.X.setflags(write=False)
@@ -36,30 +35,26 @@ class SnapshotPair:
         return self.X.shape[1]
 
     @property
-    def dimension(self):
-        return self.X.shape[0]
-
-    @property
     def is_trajectory(self):
         return self.provenance.startswith("trajectory")
 
 
-def _observable_matrices(pair: SnapshotPair, dic: Dictionary) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only psi(X), psi(Y) of ``pair``, the one evaluation of its data.
-
-    The pair's slot keeps the dictionary and both matrices, 2 N M values; it
-    is filled on first use and refilled when ``dic`` differs.  Refilling
-    computes the same arrays, so concurrent callers are safe.
-    """
-    slot = pair._psi
-    if slot is None or slot[0] != dic:
-        psix = evaluate_batch(dic, pair.X)
-        psiy = evaluate_batch(dic, pair.Y)
-        psix.setflags(write=False)
-        psiy.setflags(write=False)
-        slot = (dic, psix, psiy)
-        object.__setattr__(pair, "_psi", slot)
-    return slot[1], slot[2]
+def _reduction(pair: SnapshotPair, dic: Dictionary) -> tuple[np.ndarray, float, float]:
+    """The one pass over the pair's data, psi evaluated once per block of X and Y:
+    the read-only 2N x 2N R of [psi(X)^H | psi(Y)^H] (``dictionary._reduce``),
+    max|psi(X)| and max|psi(Y)|.  The pair's slot keeps them for ``dic``; a refill
+    computes the same values, so concurrent callers are safe."""
+    if pair._r is None or pair._r[0] != dic:
+        peaks = [0.0, 0.0]
+        def blocks():
+            for i in range(0, pair.count, _BLOCK):
+                psi = [evaluate_batch(dic, v[:, i:i + _BLOCK]) for v in (pair.X, pair.Y)]
+                peaks[:] = [max(p, float(np.max(np.abs(v)))) for p, v in zip(peaks, psi)]
+                yield *psi, 1.0
+        r = _reduce(blocks())
+        r.setflags(write=False)
+        object.__setattr__(pair, "_r", (dic, r, *peaks))
+    return pair._r[1:]
 
 
 def generate_iid(system: DynamicalSystem, measure: Measure, count: int, seed: int) -> SnapshotPair:

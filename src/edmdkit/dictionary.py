@@ -24,6 +24,8 @@ import numpy as np
 from .errors import ConfigError, NonFiniteError, check_rank
 from .systems import Domain, QuadratureRule, as_points, as_state, box, circle
 
+_BLOCK = 8192  # rows per QR step of the least-squares reduction, folded in order
+
 
 @dataclass(frozen=True)
 class Dictionary:
@@ -170,18 +172,33 @@ def derivative(dic: Dictionary, x) -> np.ndarray:
 
 def gram(dic: Dictionary, rule: QuadratureRule) -> np.ndarray:
     """Quadrature Gram matrix sum_k w_k psi(x_k) psi(x_k)^H, Hermitized."""
-    return _gram(evaluate_batch(dic, rule.nodes), rule.weights)
-
-
-def _gram(psi, weights):
-    g = (psi * weights) @ psi.conj().T
+    psi = evaluate_batch(dic, rule.nodes)
+    g = (psi * rule.weights) @ psi.conj().T
     return 0.5 * (g + g.conj().T)
 
 
-def _gram_solve(what, g, b, count):
-    """Solve G X = B, one column per right-hand side, for a Hermitian G through
-    one eigendecomposition G = V diag(lam) V^H that also serves the rank rule
-    with max(N, count).  Returns X and the ascending eigenvalues."""
-    lam, v = np.linalg.eigh(g)
-    check_rank(what, lam[0], lam[-1], max(g.shape[0], count))
-    return v @ ((v.conj().T @ b) / lam[:, None]), lam
+def _reduce(blocks):
+    """R = [[R11, R12], [0, R22]] of the rows sqrt(w_k) [psi_k^H | t_k^H] of
+    min_A sum_k w_k ||A psi_k - t_k||^2, from (psi, t, w) column blocks (w = 1.0
+    for unit weights) stacked ``_BLOCK`` rows at a time under the R so far (TSQR).
+    Zero rows pad R square.  R11^H R11 = sum_k w_k psi_k psi_k^H, the weighted
+    Gram, and R11^H R12 = sum_k w_k psi_k t_k^H."""
+    r = np.empty((0, 0))
+    for psi, t, w in blocks:
+        rows = np.concatenate([psi, t]).conj().T * np.sqrt(w).reshape(-1, 1)
+        del psi, t  # not held during the QR when ``blocks`` is a generator
+        for part in (rows[i:i + _BLOCK] for i in range(0, len(rows), _BLOCK)):
+            r = np.linalg.qr(np.concatenate([r, part]) if r.size else part, mode="r")
+    return np.concatenate([r, np.zeros((r.shape[1] - r.shape[0], r.shape[1]), r.dtype)])
+
+
+def _solve(r, n, count, tikhonov=0.0, what=None):
+    """A^H = pinv(R11) R12 and sigma(R11), descending, by the SVD of the n x n R11:
+    s <= max(n, count) eps s_max is dropped, each kept 1/s becomes s / (s^2 + tikhonov).
+    Given ``what``, a numerically singular R11 raises RankDeficiencyError."""
+    u, s, vh = np.linalg.svd(r[:n, :n])
+    if what is not None:
+        check_rank(what, s[-1], s[0], max(n, count))
+    k = s > max(n, count) * np.finfo(float).eps * s[0]
+    a_h = (u[:, k].conj().T @ r[:n, n:]) / (s[k] + tikhonov / s[k])[:, None]
+    return vh[k].conj().T @ a_h, s

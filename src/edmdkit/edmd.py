@@ -22,23 +22,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._table import float_rows, read_table, write_table
-from .data import SnapshotPair, _observable_matrices
-from .dictionary import Dictionary, parse_dictionary
-from .errors import ConfigError, check_rank
+from .data import SnapshotPair, _reduction
+from .dictionary import Dictionary, _solve, parse_dictionary
+from .errors import ConfigError
 from .systems import Domain, box, circle
-
-_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
 class KoopmanMatrix:
     """N x N Koopman matrix with provenance and conditioning diagnostics.
 
-    ``sigma_max``/``sigma_min`` are the extreme singular values of the object
-    whose (pseudo)inversion produced A: the observable matrix psi(X) for
-    sampled fits, the Gram matrix for analytic fits.  A sampled fit with
-    fewer snapshots than dictionary elements (M < N) has ``sigma_min`` 0 and
-    an infinite ``condition``.
+    ``sigma_max``/``sigma_min`` are the extreme singular values of R11, the
+    block of the least-squares reduction whose (pseudo)inversion produced A:
+    sigma(psi(X)) for sampled fits, and their squares, the Gram eigenvalues,
+    for analytic fits.  A sampled fit with fewer snapshots than dictionary
+    elements (M < N) has ``sigma_min`` 0 and an infinite ``condition``.
     """
 
     A: np.ndarray
@@ -53,42 +51,35 @@ class KoopmanMatrix:
 
     @property
     def condition(self):
-        if self.sigma_min == 0.0:
-            return np.inf
-        return self.sigma_max / self.sigma_min
+        return self.sigma_max / self.sigma_min if self.sigma_min != 0.0 else np.inf
 
 
 def fit_edmd(snapshots: SnapshotPair, dic: Dictionary, tikhonov: float = 0.0) -> KoopmanMatrix:
     """Least-squares fit A = psi(Y) pinv(psi(X)).
 
-    The Moore-Penrose pseudoinverse is taken through an SVD with relative
-    cutoff max(N, M) * eps, so A is always defined and is a minimizer of
-    ||A psi(X) - psi(Y)||_F even for rank-deficient data; near-rank-deficiency
-    is recorded in the diagnostics rather than raised.  ``tikhonov`` = t > 0
-    regularizes ill-conditioned user data by filtering the same SVD, each kept
-    1/s becoming s / (s^2 + t): the solution of the normal equations
+    A^H = pinv(R11) R12 from the pair's reduction R of [psi(X)^H | psi(Y)^H],
+    through the SVD of R11 with relative cutoff max(N, M) * eps, so A is always
+    defined and is the minimum-norm minimizer of ||A psi(X) - psi(Y)||_F even
+    for rank-deficient data; near-rank-deficiency is recorded in the
+    diagnostics, sigma(R11) = sigma(psi(X)), rather than raised.  ``tikhonov``
+    = t > 0 filters the same SVD, each kept 1/s becoming s / (s^2 + t): the
+    solution of the normal equations
     psi(Y) psi(X)^H (psi(X) psi(X)^H + t I)^{-1} on the unnormalized psi(X).
     The default 0 keeps the exact pseudoinverse solution; a negative or
     non-finite t raises ConfigError.
     """
     if not (np.isfinite(tikhonov) and tikhonov >= 0.0):
         raise ConfigError(f"tikhonov must be a finite nonnegative number, got {tikhonov!r}")
-    psix, psiy = _observable_matrices(snapshots, dic)
-    n, m = psix.shape
-    u, s, vh = np.linalg.svd(psix, full_matrices=False)
-    sig_max = float(s[0]) if s.size else 0.0
-    # with M < N the SVD returns only M values; the N-th one is zero
-    sig_min = float(s[-1]) if m >= n else 0.0
-    keep = s > max(n, m) * _EPS * sig_max
-    a = (psiy @ vh[keep].conj().T / (s[keep] + tikhonov / s[keep])) @ u[:, keep].conj().T
+    r, _, _ = _reduction(snapshots, dic)
+    a_h, s = _solve(r, dic.size, snapshots.count, tikhonov)
     prov_tail = snapshots.provenance.split(":", 1)[1]
     kind = "sampled" if not snapshots.is_trajectory else "sampled-trajectory"
     return KoopmanMatrix(
-        A=np.ascontiguousarray(a, dtype=complex),
+        A=np.ascontiguousarray(a_h.conj().T, dtype=complex),
         dictionary=dic,
         provenance=f"{kind}:{prov_tail}",
-        sigma_max=sig_max,
-        sigma_min=sig_min,
+        sigma_max=float(s[0]),
+        sigma_min=float(s[-1]),
     )
 
 
@@ -105,27 +96,24 @@ def theorem1_residual(k: KoopmanMatrix, snapshots: SnapshotPair, dic: Dictionary
 
     Returns max_{i,j} |psi(Y) psi(X)^H - A G|_{ij} / M with the empirical Gram
     G = psi(X) psi(X)^H: the paper's A_M - K G_M, zero exactly when K psi_i is
-    the empirical projection of psi_i o T for every basis element.  Raises
-    RankDeficiencyError when G is numerically singular, in which case the
-    projection characterization does not pin down a unique minimizer.
-    psi(X) and psi(Y) are the pair's own, evaluated once for ``dic`` and shared
-    with fit_edmd and residual_scale.
+    the empirical projection of psi_i o T for every basis element, with
+    G = R11^H R11 and psi(X) psi(Y)^H = R11^H R12 from the pair's reduction.
+    Raises RankDeficiencyError when sigma(R11) = sigma(psi(X)) is numerically
+    singular (count max(N, M)): the projection then pins down no unique minimizer.
     """
-    psix, psiy = _observable_matrices(snapshots, dic)
-    n, m = psix.shape
-    psix_h = psix.conj().T
-    g = psix @ psix_h
-    lam = np.linalg.eigvalsh(g)
-    check_rank("empirical Gram matrix", lam[0], lam[-1], max(n, m))
-    return float(np.max(np.abs(psiy @ psix_h - k.A @ g))) / m
+    r, _, _ = _reduction(snapshots, dic)
+    n, m = dic.size, snapshots.count
+    _solve(r, n, m, what="psi(X) of the snapshot pair")
+    r11_h = r[:n, :n].conj().T
+    return float(np.max(np.abs((r11_h @ r[:n, n:]).conj().T - k.A @ (r11_h @ r[:n, :n])))) / m
 
 
 def residual_scale(snapshots: SnapshotPair, dic: Dictionary) -> float:
     """Natural magnitude of theorem1_residual terms: max|psi(Y)| * max|psi(X)|,
-    floored at one.  Reads the same psi(X), psi(Y) of the pair as
-    theorem1_residual, so the two together evaluate the dictionary once."""
-    psix, psiy = _observable_matrices(snapshots, dic)
-    return max(1.0, float(np.max(np.abs(psiy)) * np.max(np.abs(psix))))
+    floored at one, from the same pass over the pair as theorem1_residual's
+    moments, so the two together evaluate the dictionary once."""
+    _, peak_x, peak_y = _reduction(snapshots, dic)
+    return max(1.0, peak_y * peak_x)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import systems
-from .dictionary import Dictionary, _gram, _gram_solve, evaluate_batch
+from .dictionary import Dictionary, _reduce, _solve, evaluate_batch
 from .edmd import KoopmanMatrix
 from .errors import NonFiniteError
 from .systems import DynamicalSystem, Measure, as_state
@@ -121,14 +121,13 @@ def l2_error(
 
 def observable_matrix(f, dic: Dictionary, rule) -> np.ndarray:
     """Rows of coefficients c_i with c_i psi ~ f_i, the weighted least-squares
-    projection of each row f_i of f(rule.nodes) in the measure the rule
-    realizes; exact whenever f_i lies in the span.  Equal weights 1/M on M
-    sample points give the empirical projection.  A numerically singular
-    weighted Gram matrix raises RankDeficiencyError (count max(N, M))."""
+    projection of each row f_i of f(rule.nodes) in the measure the rule realizes
+    (weights 1/M on M sample points: the empirical projection), exact whenever
+    f_i lies in the span.  One reduction of the rows sqrt(w_k) [psi(x_k)^H | f(x_k)^H];
+    a singular R11 (count max(N, M)) raises RankDeficiencyError."""
     vals = np.asarray(f(rule.nodes))
     if vals.ndim == 1:
         vals = vals[None, :]
-    psi = evaluate_batch(dic, rule.nodes)
-    b = (psi * rule.weights) @ vals.conj().T
-    c, _ = _gram_solve("empirical Gram matrix", _gram(psi, rule.weights), b, rule.size)
-    return np.ascontiguousarray(c.conj().T)
+    r = _reduce((evaluate_batch(dic, rule.nodes), v, rule.weights) for v in [vals])
+    c_h, _ = _solve(r, dic.size, rule.size, what="psi on the rule's nodes")
+    return np.ascontiguousarray(c_h.conj().T)

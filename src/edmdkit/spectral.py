@@ -23,7 +23,7 @@ from ._table import float_rows, read_table, write_table
 from .dictionary import derivative_batch, evaluate_batch
 from .edmd import KoopmanMatrix
 from .errors import EigensolverError, check_rank
-from .data import SnapshotPair, _observable_matrices
+from .data import SnapshotPair
 from .systems import DynamicalSystem, QuadratureRule
 
 
@@ -130,10 +130,10 @@ def eigenmeasure_extract(
     """Atomic eigenmeasure of eigenpair j on single-trajectory data with M = N.
 
     Requires trajectory provenance and a numerically invertible psi(X) (the
-    exact-interpolation regime); the sup-norm normalization of the paper is
-    approximated by the max over the trajectory atoms, the only points where
-    the downstream identities are evaluated.  phi and its tail value are read
-    from the pair's psi(X), psi(Y), evaluated once for all eigenpairs.
+    exact-interpolation regime, judged on the fit's sigma); the sup-norm
+    normalization of the paper is approximated by the max over the trajectory
+    atoms, the only points where the downstream identities are evaluated.
+    phi is evaluated here on the N atoms and the tail point T x_N.
     """
     if not snapshots.is_trajectory:
         raise ValueError("eigenmeasure extraction requires trajectory snapshots")
@@ -145,21 +145,17 @@ def eigenmeasure_extract(
     if not 0 <= j < decomp.size:
         raise IndexError(f"eigenpair index {j} out of range for size {decomp.size}")
     check_rank("psi(X) in the M = N regime", k.sigma_min, k.sigma_max, n)
-    psix, psiy = _observable_matrices(snapshots, k.dictionary)
     w = decomp.eigen_coeffs[:, j].conj()
-    phi = w @ psix
-    # T x_N is the last Y column; no re-application of the map needed.  A
-    # contiguous copy of it gets the same BLAS call, and so the same bits, as
-    # phi evaluated at that one point
-    tail = (w @ np.ascontiguousarray(psiy[:, -1:]))[0]
-    sup = float(np.max(np.abs(phi)))
+    # phi at the atoms, then at T x_N, the last Y column: no re-application of the map
+    phi = w @ evaluate_batch(k.dictionary, np.hstack([snapshots.X, snapshots.Y[:, -1:]]))
+    sup = float(np.max(np.abs(phi[:-1])))
     if sup == 0.0:
         raise ValueError("eigenfunction vanishes at every trajectory atom")
     return Eigenmeasure(
         atoms=snapshots.X.copy(),
-        weights=(phi / sup) / n,
+        weights=(phi[:-1] / sup) / n,
         eigenvalue=complex(decomp.eigenvalues[j]),
-        tail_value=complex(tail / sup),
+        tail_value=complex(phi[-1] / sup),
     )
 
 

@@ -3,7 +3,9 @@
 Everything here deliberately avoids the code paths under test: eigenvalues
 come from power iteration with deflation (no LAPACK _geev), projections from
 explicit Gram solves on quadrature grids, moments from closed forms,
-Gauss-Legendre rules from Newton steps on the three-term recurrence.
+Gauss-Legendre rules from Newton steps on the three-term recurrence, least
+squares from the SVD of the wide psi(X) or the eigendecomposition of G
+instead of the QR of [psi(X)^H | psi(Y)^H].
 """
 
 import math
@@ -134,3 +136,22 @@ def theorem1_residual_form(a, psix, psiy):
     max |(psi(Y) - A psi(X)) psi(X)^H| / M, through the N x M residual."""
     r = psiy - a @ psix
     return float(np.max(np.abs((r * (1.0 / psix.shape[1])) @ psix.conj().T)))
+
+
+def svd_fit(psix, psiy, tikhonov=0.0):
+    """Sampled EDMD through the SVD of the wide psi(X): A = psi(Y) pinv(psi(X))
+    with relative cutoff max(N, M) * eps and each kept 1/s filtered to
+    s / (s^2 + t).  Returns A, sigma_max and sigma_min (0 when M < N)."""
+    n, m = psix.shape
+    u, s, vh = np.linalg.svd(psix, full_matrices=False)
+    keep = s > max(n, m) * np.finfo(float).eps * s[0]
+    a = (psiy @ vh[keep].conj().T / (s[keep] + tikhonov / s[keep])) @ u[:, keep].conj().T
+    return a, float(s[0]), float(s[-1]) if m >= n else 0.0
+
+
+def gram_solve(g, b):
+    """Solve G X = B for a Hermitian G through one eigendecomposition
+    G = V diag(lam) V^H.  Returns X and the ascending eigenvalues; no rank
+    rule, the caller judges lam."""
+    lam, v = np.linalg.eigh(g)
+    return v @ ((v.conj().T @ b) / lam[:, None]), lam

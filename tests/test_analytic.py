@@ -77,6 +77,19 @@ class TestFitAnalytic:
         oracle = np.conj(quadrature_projection(dic, rule, composed))
         assert np.max(np.abs(k.A[2] - oracle)) <= 1e-12
 
+    # worst seen: 5.0e-14, 3.2e-11, 2.2e-9, 7.9e-7; a solve through G (cond(G)
+    # 3e5 at d = 8) loses the square of the condition and raises at d = 20
+    @pytest.mark.parametrize("degree, bound", [(8, 1e-12), (12, 1e-9), (16, 1e-7), (20, 1e-5)])
+    def test_monomial_in_span_rows(self, degree, bound):
+        # x^k o T = (2x^2 - 1)^k lies in the span for 2k <= degree, so row k
+        # holds its exact integer coefficients
+        k = fit_analytic(LOGISTIC, parse_dictionary(f"monomial:{degree}"), UNIFORM11)
+        for row in range(degree // 2 + 1):
+            exact = np.zeros(degree + 1)
+            coef = np.polynomial.polynomial.polypow([-1.0, 0.0, 2.0], row)
+            exact[:coef.size] = coef
+            assert np.max(np.abs(k.A[row] - exact)) <= bound
+
     @pytest.mark.parametrize("spec", ["legendre:8", "monomial:4"])
     def test_one_dictionary_pass_per_point_set(self, monkeypatch, spec):
         # psi on the nodes serves both G and M_T; the images need the other pass

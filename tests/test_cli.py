@@ -405,6 +405,28 @@ class TestConfigFile:
                      "--outdir", str(tmp_path)]) == 1
         assert "configuration error" in capsys.readouterr().err
 
+    # flags are never abbreviated: a prefix would slip past the config-file
+    # merge, which compares whole option names
+    def test_abbreviated_fit_flag_is_exit_one(self, tmp_path, capsys):
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text("M=100\n", encoding="utf-8")
+        assert main(["spectrum", *TRIPLE, "--config", str(cfg), "--anal",
+                     "--outdir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("edmdkit: configuration error:")
+        assert "unrecognized arguments: --anal" in err
+        assert not (tmp_path / "spectrum.csv").exists()
+
+    def test_abbreviated_config_flag_is_exit_one(self, tmp_path, capsys):
+        # argparse took --conf for --config, but the file was never read
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text("seed=3\n", encoding="utf-8")
+        assert main(["edmd", *TRIPLE, "--M", "20", "--conf", str(cfg),
+                     "--outdir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("edmdkit: configuration error:")
+        assert f"unrecognized arguments: --conf {cfg}" in err
+
     def test_malformed_config_is_exit_one(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("system identity\n", encoding="utf-8")

@@ -7,6 +7,7 @@ from edmdkit import (
     data,
     eig,
     eigenmeasure_extract,
+    evaluate_batch,
     fit_edmd,
     generate_iid,
     generate_trajectory,
@@ -111,7 +112,7 @@ class TestOneEvaluation:
         res = theorem1_residual(k, pair, dic)
         scale = residual_scale(pair, dic)
         assert len(evaluated) == 2
-        assert evaluated[0] is pair.X and evaluated[1] is pair.Y
+        assert np.array_equal(evaluated[0], pair.X) and np.array_equal(evaluated[1], pair.Y)
         # the same numbers as on pairs that were never evaluated before
         assert np.array_equal(k.A, fit_edmd(self.iid(), dic).A)
         assert res == theorem1_residual(k, self.iid(), dic)
@@ -123,8 +124,9 @@ class TestOneEvaluation:
         k = fit_edmd(pair, dic)
         decomp = eig(k)
         measures = [eigenmeasure_extract(k, decomp, j, pair) for j in range(k.size)]
+        # the extractions evaluate phi on the N atoms themselves, not through the pair
         assert len(evaluated) == 2
-        assert evaluated[0] is pair.X and evaluated[1] is pair.Y
+        assert np.array_equal(evaluated[0], pair.X) and np.array_equal(evaluated[1], pair.Y)
         for j, nu in enumerate(measures):
             fresh = eigenmeasure_extract(k, decomp, j, self.trajectory())
             assert np.array_equal(nu.weights, fresh.weights)
@@ -138,7 +140,23 @@ class TestOneEvaluation:
 
     def test_data_and_cached_psi_are_read_only(self):
         pair = self.iid()
-        psix, psiy = data._observable_matrices(pair, parse_dictionary("legendre:4"))
-        for array in [pair.X, pair.Y, psix, psiy]:
+        r, _, _ = data._reduction(pair, parse_dictionary("legendre:4"))
+        for array in [pair.X, pair.Y, r]:
             with pytest.raises(ValueError):
                 array[0, 0] = 0.5
+
+    def test_blocks_cover_the_pair_in_order(self, evaluated):
+        # 20000 snapshots are three blocks of X and three of Y, evaluated once
+        # each and in order; the maxima behind residual_scale keep their bits
+        dic = parse_dictionary("legendre:6")
+        pair = generate_iid(self.LOGISTIC, parse_measure("uniform:-1,1"), 20_000, seed=4)
+        k = fit_edmd(pair, dic)
+        scale = residual_scale(pair, dic)
+        assert [p.shape[1] for p in evaluated] == [8192, 8192, 8192, 8192, 3616, 3616]
+        assert np.array_equal(np.concatenate(evaluated[0::2], axis=1), pair.X)
+        assert np.array_equal(np.concatenate(evaluated[1::2], axis=1), pair.Y)
+        psix = evaluate_batch(dic, pair.X)
+        psiy = evaluate_batch(dic, pair.Y)
+        assert scale == max(1.0, float(np.max(np.abs(psiy)) * np.max(np.abs(psix))))
+        ref, *_ = np.linalg.lstsq(psix.T, psiy.T, rcond=None)
+        assert np.linalg.norm(k.A - ref.T) <= 1e-12 * np.linalg.norm(ref)

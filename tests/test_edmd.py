@@ -14,17 +14,19 @@ from edmdkit import (
     gauss_rule,
     generate_iid,
     generate_trajectory,
+    gram,
     parse_dictionary,
     parse_measure,
     parse_system,
     read_koopman_csv,
     residual_scale,
     theorem1_residual,
+    transfer_matrix,
     uniform,
     write_koopman_csv,
 )
 
-from _oracles import quadrature_projection, theorem1_residual_form
+from _oracles import gram_solve, quadrature_projection, svd_fit, theorem1_residual_form
 
 LOGISTIC = parse_system("logistic")
 UNIFORM11 = parse_measure("uniform:-1,1")
@@ -122,6 +124,49 @@ class TestFitEdmd:
             ]
             medians.append(np.median(gaps))
         assert all(a > b for a, b in zip(medians, medians[1:]))
+
+
+def _regime(name, rng):
+    """(fit, reference A, sigma_max, sigma_min) for one least-squares regime:
+    sampled fits against the SVD of the wide psi(X), analytic fits against
+    the eigendecomposition of G."""
+    rot = parse_system("rotation:omega=0.8378")
+    if name.startswith("analytic"):
+        dic = parse_dictionary(name.split()[1])
+        rule = gauss_rule(UNIFORM11, 64)
+        a_h, lam = gram_solve(gram(dic, rule), transfer_matrix(LOGISTIC, dic, rule).conj().T)
+        return fit_analytic(LOGISTIC, dic, UNIFORM11), a_h.conj().T, lam[-1], lam[0]
+    t = 0.0
+    if name == "rank-deficient":  # four atoms, each repeated five times
+        x = np.repeat(rng.uniform(-1.0, 1.0, (1, 4)), 5, axis=1)
+        pair, dic = SnapshotPair(x, 2 * x**2 - 1, "iid:seed=0;M=20"), parse_dictionary("legendre:8")
+    elif name == "M < N":
+        pair, dic = generate_iid(LOGISTIC, UNIFORM11, 5, 1), parse_dictionary("legendre:8")
+    elif name == "M = N trajectory":
+        pair = generate_trajectory(rot, [rng.uniform(0.0, 2 * np.pi)], 15)
+        dic = parse_dictionary("fourier:7", rot.domain)
+    elif name == "tikhonov":
+        pair, dic = generate_iid(LOGISTIC, UNIFORM11, 200, 2), parse_dictionary("monomial:10")
+        t = 1e-3
+    else:  # complex fourier
+        pair = generate_iid(rot, uniform(rot.domain), 300, 3)
+        dic = parse_dictionary("fourier:5", rot.domain)
+    ref = svd_fit(evaluate_batch(dic, pair.X), evaluate_batch(dic, pair.Y), t)
+    return fit_edmd(pair, dic, tikhonov=t), *ref
+
+
+class TestReferencePaths:
+    @pytest.mark.parametrize("regime", ["rank-deficient", "M < N", "M = N trajectory", "tikhonov",
+                                        "complex fourier", "analytic legendre:8",
+                                        "analytic monomial:4"])
+    def test_reduction_matches_reference(self, regime):
+        # seen: A within 9.1e-15 relative, each sigma within 1.3e-15 of sigma_max
+        k, a, sigma_max, sigma_min = _regime(regime, np.random.default_rng(7))
+        assert np.linalg.norm(k.A - a) <= 1e-12 * np.linalg.norm(a)
+        assert k.sigma_max == pytest.approx(sigma_max, rel=1e-13)
+        assert abs(k.sigma_min - sigma_min) <= 1e-13 * sigma_max
+        if regime == "M < N":
+            assert k.sigma_min == sigma_min == 0.0
 
 
 class TestApplyOperator:
