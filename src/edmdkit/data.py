@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -73,17 +74,17 @@ def generate_iid(system: DynamicalSystem, measure: Measure, count: int, seed: in
 def generate_trajectory(system: DynamicalSystem, x0, count: int) -> SnapshotPair:
     """Snapshots along a single orbit: X = (x0, Tx0, ...), Y shifted by one.
 
+    The states are the first ``count`` steps of ``systems._orbit`` from x0, so
+    each escape is reported and a non-finite state raises NonFiniteError.
     Y[:, j] equals X[:, j+1] exactly for j < count-1 because both views come
     from one computed sequence.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    s = as_state(x0, system.dimension)
-    seq = np.empty((system.dimension, count + 1))
-    seq[:, 0] = s
-    for j in range(count):
-        seq[:, j + 1] = systems.apply(system, seq[:, j])
-    x0_label = ";".join(repr(float(v)) for v in s)
+    x = as_state(x0, system.dimension)[:, None]
+    orbit = islice(systems._orbit(system, x), count)
+    seq = np.concatenate([x, *(image for image, _ in orbit)], axis=1)
+    x0_label = ";".join(repr(float(v)) for v in x[:, 0])
     return SnapshotPair(
         seq[:, :-1].copy(), seq[:, 1:].copy(), f"trajectory:x0={x0_label};M={count}"
     )

@@ -10,6 +10,7 @@ truth independent of every Koopman object.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -54,20 +55,48 @@ def _as_observable_rows(c, n_dict):
     return c
 
 
+_TRUTH_BLOCK = 1 << 16  # dictionary values per stacked truth evaluation in _rollout
+
+
 def _rollout(k: KoopmanMatrix, cmat, dic: Dictionary, system: DynamicalSystem, points,
              horizon: int):
     """Yield (C A^i psi(points), C psi(T^i points)) for i = 1 .. horizon, each
-    (n, M): the Koopman prediction and the truth at every column of
-    ``points``, the truth by direct iteration of the batch map.  A non-finite
-    A^i psi raises NonFiniteError."""
+    (n, M): the Koopman prediction and the truth at every column of ``points``,
+    the truth along ``systems._orbit``.
+
+    Steps go in blocks of at most ``_TRUTH_BLOCK`` dictionary values, one step
+    when a single step has more.  A block first advances A^i psi, up to its
+    first non-finite step.  The orbit is stepped only up to the step before,
+    and psi is evaluated once on the stacked orbit points, and right after
+    each step with points outside the domain.  So the NonFiniteError raised and
+    the DomainEscapeWarnings issued are those of stepping and evaluating one
+    step at a time, the prediction check of a step before its truth.  Only the
+    A z recurrence is sequential.
+    """
     z = evaluate_batch(dic, points).astype(complex)
-    for i in range(1, horizon + 1):
-        with np.errstate(over="ignore", invalid="ignore"):
-            z = k.A @ z
-        if not np.all(np.isfinite(z)):
-            raise NonFiniteError(f"the Koopman prediction A^{i} psi is not finite")
-        points = systems.apply_batch(system, points)
-        yield cmat @ z, cmat @ evaluate_batch(dic, points)
+    (d, m), n = points.shape, cmat.shape[0]
+    orbit = systems._orbit(system, points)
+    block = max(1, _TRUTH_BLOCK // (dic.size * m))
+    for start in range(0, horizon, block):
+        steps = planned = min(block, horizon - start)
+        predicted = np.empty((steps, n, m), dtype=complex)
+        for j in range(planned):
+            with np.errstate(over="ignore", invalid="ignore"):
+                z = k.A @ z
+            if not np.all(np.isfinite(z)):
+                steps = j
+                break
+            predicted[j] = cmat @ z
+        stacked, truth, done = np.empty((d, steps * m)), np.empty((n, steps * m), complex), 0
+        for j, (image, escaped) in enumerate(islice(orbit, steps), 1):
+            stacked[:, (j - 1) * m:j * m] = image
+            if escaped or j == steps:
+                cols = slice(done * m, j * m)
+                truth[:, cols] = cmat @ evaluate_batch(dic, stacked[:, cols])
+                done = j
+        yield from ((predicted[j], truth[:, j * m:(j + 1) * m]) for j in range(steps))
+        if steps < planned:
+            raise NonFiniteError(f"the Koopman prediction A^{start + steps + 1} psi is not finite")
 
 
 def predict(k: KoopmanMatrix, c, x0, horizon: int, dic: Dictionary,

@@ -27,11 +27,15 @@ from .data import SnapshotPair
 from .systems import DynamicalSystem, QuadratureRule
 
 
+_TIE = 1e-12  # relative gap in |lambda| below which eig orders by argument
+
+
 @dataclass(frozen=True)
 class SpectralDecomp:
-    """Eigenvalues (descending magnitude, ties by ascending argument), the
-    matrix of left eigenvectors (column j satisfies w_j^H A = lambda_j w_j^H),
-    and the per-pair residuals ||A^H w_j - conj(lambda_j) w_j||_2."""
+    """Eigenvalues (descending magnitude, ties within 1e-12 max|lambda| by
+    ascending argument), the matrix of left eigenvectors (column j satisfies
+    w_j^H A = lambda_j w_j^H), and the per-pair residuals
+    ||A^H w_j - conj(lambda_j) w_j||_2."""
 
     eigenvalues: np.ndarray
     eigen_coeffs: np.ndarray
@@ -63,8 +67,13 @@ def eig(k: KoopmanMatrix) -> SpectralDecomp:
     pivot = np.argmax(np.abs(w), axis=0)
     phase = w[pivot, np.arange(w.shape[1])]
     w = w * (np.abs(phase) / phase)
-    # magnitude-descending order, ties broken by ascending argument
-    order = np.lexsort((np.angle(lam), -np.abs(lam)))
+    # magnitude-descending order; magnitudes within _TIE * max|lambda| of the
+    # next larger one tie, and ties go by ascending argument, so roundoff in
+    # |lambda| cannot reorder eigenvalues of one modulus
+    by_mag = np.argsort(-np.abs(lam), kind="stable")
+    mag = np.abs(lam[by_mag])
+    tier = np.cumsum(np.concatenate(([0], mag[:-1] - mag[1:] > _TIE * mag[:1])))
+    order = by_mag[np.lexsort((np.angle(lam[by_mag]), tier))]
     lam = lam[order]
     w = w[:, order]
     res = np.linalg.norm(a.conj().T @ w - w * np.conj(lam), axis=0)

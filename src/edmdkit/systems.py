@@ -119,19 +119,24 @@ def as_points(points, dimension=None):
 
 
 def apply(system: DynamicalSystem, x) -> np.ndarray:
-    """One step of the map: ``apply_batch`` on one column.  A result outside
-    the domain is reported through a DomainEscapeWarning, not an error, so
-    long-horizon studies keep running; a non-finite one raises NonFiniteError."""
+    """One step of the map: the first step of ``_orbit`` from one column.  A
+    result outside the domain is reported through a DomainEscapeWarning, not an
+    error, so long-horizon studies keep running; a non-finite one raises
+    NonFiniteError."""
     s = as_state(x, system.dimension)
-    y = apply_batch(system, s[:, None])[:, 0]
-    if not np.all(np.isfinite(y)):
-        raise NonFiniteError(f"{system.name}: the image of {s} is not finite")
-    return y
+    y, _ = next(_orbit(system, s[:, None]))
+    return y[:, 0]
 
 
 def apply_batch(system: DynamicalSystem, points) -> np.ndarray:
     """Column-wise map application with a single escape report per call."""
-    pts = as_points(points, system.dimension)
+    return _step(system, as_points(points, system.dimension))[0]
+
+
+def _step(system: DynamicalSystem, pts):
+    """T on the columns of ``pts`` and the number of images outside the domain,
+    reported by one DomainEscapeWarning attributed to the caller of
+    ``apply_batch`` or of ``_orbit``."""
     if system.forward_batch is not None:
         out = np.asarray(system.forward_batch(pts), dtype=float)
     else:
@@ -144,9 +149,24 @@ def apply_batch(system: DynamicalSystem, points) -> np.ndarray:
         warnings.warn(
             f"{system.name}: {escaped} of {pts.shape[1]} images left the domain",
             DomainEscapeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    return out
+    return out, escaped
+
+
+def _orbit(system: DynamicalSystem, points):
+    """Yield (T^i points, number of them outside the domain) for i = 1, 2, ...:
+    the one orbit loop, one ``_step`` and so at most one DomainEscapeWarning
+    per step.  A non-finite image raises NonFiniteError naming the first column
+    it came from."""
+    while True:
+        image, escaped = _step(system, points)
+        finite = np.all(np.isfinite(image), axis=0)
+        if not np.all(finite):
+            bad = points[:, np.argmin(finite)]
+            raise NonFiniteError(f"{system.name}: the image of {bad} is not finite")
+        yield image, escaped
+        points = image
 
 
 @dataclass(frozen=True)

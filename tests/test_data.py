@@ -4,6 +4,11 @@ import numpy as np
 import pytest
 
 from edmdkit import (
+    DomainEscapeWarning,
+    DynamicalSystem,
+    NonFiniteError,
+    apply,
+    box,
     data,
     eig,
     eigenmeasure_extract,
@@ -62,6 +67,30 @@ class TestGenerateTrajectory:
     def test_shift_structure_exact(self):
         pair = generate_trajectory(parse_system("logistic"), [0.3], 50)
         assert pair.Y[:, :-1].tobytes() == pair.X[:, 1:].tobytes()
+
+    @pytest.mark.parametrize("spec, x0", [("logistic", 0.31), ("rotation:omega=0.8378", 0.7)])
+    def test_orbit_is_a_loop_of_apply(self, spec, x0):
+        # bit for bit the states of stepping one state at a time, by the
+        # library's apply and by the plain map
+        system = parse_system(spec)
+        pair = generate_trajectory(system, [x0], 400)
+        by_apply, plain = [np.array([x0])], [x0]
+        for _ in range(400):
+            by_apply.append(apply(system, by_apply[-1]))
+            x = plain[-1]
+            plain.append(2.0 * x * x - 1.0 if spec == "logistic" else (x + 0.8378) % (2 * np.pi))
+        states = np.array(by_apply).T
+        assert pair.X.tobytes() == states[:, :-1].tobytes()
+        assert pair.Y.tobytes() == states[:, 1:].tobytes()
+        assert pair.X.tobytes() == np.array([plain[:-1]]).tobytes()
+        assert pair.Y[:, :-1].tobytes() == pair.X[:, 1:].tobytes()
+
+    def test_overflowing_user_map_raises(self):
+        system = DynamicalSystem("grow", box(-1.0, 1.0), forward=lambda x: 1e200 * x,
+                                 forward_batch=lambda x: 1e200 * x)
+        with pytest.warns(DomainEscapeWarning), np.errstate(over="ignore"), \
+                pytest.raises(NonFiniteError, match=r"grow: the image of \[5.e\+199\] is not finite"):
+            generate_trajectory(system, [0.5], 5)
 
     def test_trajectory_provenance(self):
         pair = generate_trajectory(parse_system("logistic"), [0.3], 5)

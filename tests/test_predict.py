@@ -1,16 +1,22 @@
 import dataclasses
+import importlib
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from edmdkit import (
+    DomainEscapeWarning,
+    DynamicalSystem,
     MonteCarloEval,
     NonFiniteError,
     QuadratureEval,
     QuadratureRule,
     RankDeficiencyError,
+    apply_batch,
     apply_operator,
+    box,
     evaluate,
     evaluate_batch,
     fit_analytic,
@@ -31,10 +37,11 @@ from _oracles import quadrature_projection
 
 LOGISTIC = parse_system("logistic")
 UNIFORM11 = parse_measure("uniform:-1,1")
+PREDICT = importlib.import_module("edmdkit.predict")
 
 
 def coordinate_observable(dic, measure):
-    return observable_matrix(lambda p: p[0], dic, gauss_rule(measure, 64))
+    return observable_matrix(lambda p: p[0], dic, gauss_rule(measure, max(64, 2 * dic.size)))
 
 
 class TestPredict:
@@ -150,6 +157,129 @@ class TestL2Error:
             errs = l2_error(k, c, dic, system, measure, 8, MonteCarloEval(1, seed))
             assert np.all(np.abs(res.errors - errs) <= 1e-14 * np.abs(errs))
             assert np.max(errs) > 1e-6
+
+
+def stepwise_rollout(k, cmat, dic, system, points, horizon):
+    """(C A^i psi(points), C psi(T^i points)) for i = 1 .. horizon, one map step
+    and one dictionary evaluation per step: the reference for the blocked
+    rollout, raising what it must raise, in the same order."""
+    z = evaluate_batch(dic, points).astype(complex)
+    for i in range(1, horizon + 1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = k.A @ z
+        if not np.all(np.isfinite(z)):
+            raise NonFiniteError(f"the Koopman prediction A^{i} psi is not finite")
+        points = apply_batch(system, points)
+        yield cmat @ z, cmat @ evaluate_batch(dic, points)
+
+
+def outcome(run):
+    """(steps yielded, error message, DomainEscapeWarnings issued) of ``run()``."""
+    steps = 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            for _ in run():
+                steps += 1
+            message = None
+        except NonFiniteError as exc:
+            message = str(exc)
+    return steps, message, sum(issubclass(w.category, DomainEscapeWarning) for w in caught)
+
+
+# x -> 3x: registered on [-1, 1], so every image from x0 > 1/3 escapes, and
+# on a box so wide that no image before the overflow does
+TRIPLING = {"escaping": parse_system("affine:a=3,b=0"),
+            "inside": DynamicalSystem("tripling", box(-1e300, 1e300), forward=lambda x: 3.0 * x,
+                                      forward_batch=lambda x: 3.0 * x)}
+
+
+class TestBlockedRollout:
+    def test_matches_stepwise_rollout(self):
+        # one block of 1000 steps: predictions bit for bit, the truth up to the
+        # reassociation of one product C psi for the block
+        dic = parse_dictionary("legendre:64")
+        k = fit_analytic(LOGISTIC, dic, UNIFORM11)
+        c = coordinate_observable(dic, UNIFORM11)
+        res = predict(k, c, [0.3], 1000, dic, LOGISTIC)
+        ref = list(stepwise_rollout(k, c, dic, LOGISTIC, np.array([[0.3]]), 1000))
+        assert res.predicted.tobytes() == np.array([p[:, 0] for p, _ in ref]).tobytes()
+        assert np.max(np.abs(res.truth - np.array([t[:, 0] for _, t in ref]))) <= 1e-15
+
+    @pytest.mark.parametrize("order", [16, 256])
+    def test_l2_error_matches_stepwise_rollout(self, order):
+        # 17 x 16 values a step put all 40 steps in one block, 17 x 256 put 15
+        dic = parse_dictionary("legendre:16")
+        k = fit_analytic(LOGISTIC, dic, UNIFORM11)
+        c = coordinate_observable(dic, UNIFORM11)
+        rule = gauss_rule(UNIFORM11, order)
+        errs = l2_error(k, c, dic, LOGISTIC, UNIFORM11, 40, QuadratureEval(order))
+        ref = [math.sqrt(float(np.sum(rule.weights * np.sum(np.abs(p - t) ** 2, axis=0))))
+               for p, t in stepwise_rollout(k, c, dic, LOGISTIC, rule.nodes, 40)]
+        assert np.max(np.abs(errs - ref)) <= 1e-15
+
+    @pytest.mark.parametrize("name", sorted(TRIPLING))
+    @pytest.mark.parametrize("lead", [-20, 0, 20])
+    def test_failure_precedence(self, name, lead):
+        # psi of x0 3^j overflows at a step j near 160; A = c I overflows at
+        # step p = j + lead.  Both fall in one block of 13107 steps.  The
+        # prediction check at a step comes before that step's truth, so the
+        # prediction wins for p <= j and the truth for p > j; either way with
+        # the message, and the DomainEscapeWarnings, of stepping one at a time
+        system = TRIPLING[name]
+        dic = parse_dictionary("legendre:4")
+        x0 = np.random.default_rng(3).uniform(0.4, 0.9)
+        cmat = np.ones((1, dic.size))
+        identity = fit_analytic(LOGISTIC, dic, UNIFORM11)
+        identity = dataclasses.replace(identity, A=np.eye(dic.size))
+        j = 1 + outcome(lambda: stepwise_rollout(identity, cmat, dic, system,
+                                                 np.array([[x0]]), 400))[0]
+        p = j + lead
+        scale = (1e308 / np.max(np.abs(evaluate(dic, [x0])))) ** (1.0 / (p - 0.5))
+        k = dataclasses.replace(identity, A=scale * np.eye(dic.size))
+        steps, message, escapes = outcome(lambda: stepwise_rollout(
+            k, cmat, dic, system, np.array([[x0]]), 400))
+        assert steps == min(p, j) - 1
+        if lead <= 0:
+            assert message == f"the Koopman prediction A^{p} psi is not finite"
+        else:
+            assert message == "legendre:4: dictionary evaluation produced non-finite values"
+        assert escapes == (steps + (lead > 0) if name == "escaping" else 0)
+        blocked = outcome(lambda: [predict(k, cmat, [x0], 400, dic, system)])
+        assert blocked[1:] == (message, escapes)
+
+    def test_non_finite_image_raises_the_maps_error(self):
+        # legendre:1 is finite at 5e199, so the orbit's own check names the map
+        system = DynamicalSystem("grow", box(-1.0, 1.0), forward=lambda x: 1e200 * x,
+                                 forward_batch=lambda x: 1e200 * x)
+        dic = parse_dictionary("legendre:1")
+        k = dataclasses.replace(fit_analytic(LOGISTIC, dic, UNIFORM11), A=np.eye(dic.size))
+        with pytest.warns(DomainEscapeWarning), np.errstate(over="ignore"), \
+                pytest.raises(NonFiniteError, match=r"grow: the image of \[5.e\+199\]"):
+            predict(k, np.ones((1, dic.size)), [0.5], 10, dic, system)
+
+    def test_truth_evaluated_per_block(self, monkeypatch):
+        # at most 2^16 dictionary values per truth evaluation, and one step
+        # per evaluation when a step alone has more
+        sizes = []
+
+        def recording(dic, points):
+            sizes.append(points.shape[1])
+            return evaluate_batch(dic, points)
+
+        fits = {n: fit_analytic(LOGISTIC, parse_dictionary(f"legendre:{n - 1}"), UNIFORM11)
+                for n in (65, 9)}
+        rows = {n: coordinate_observable(k.dictionary, UNIFORM11) for n, k in fits.items()}
+        monkeypatch.setattr(PREDICT, "evaluate_batch", recording)
+        k = fits[65]
+        predict(k, rows[65], [0.3], 1000, k.dictionary, LOGISTIC)
+        assert sizes == [1, 1000]
+        k = fits[9]
+        for count, horizon, expected in [(8000, 5, [8000] * 6), (1000, 10, [1000, 7000, 3000])]:
+            sizes.clear()
+            l2_error(k, rows[9], k.dictionary, LOGISTIC, UNIFORM11, horizon,
+                     MonteCarloEval(count, 1))
+            assert sizes == expected
 
 
 def _project(dic, pts, f, weights=None):
