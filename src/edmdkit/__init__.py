@@ -43,14 +43,7 @@ from .errors import (
     QuadratureSaturationWarning,
     RankDeficiencyError,
 )
-from .predict import (
-    MonteCarloEval,
-    PredictionResult,
-    QuadratureEval,
-    l2_error,
-    observable_matrix,
-    predict,
-)
+from .predict import PredictionResult, l2_error, observable_matrix, predict
 from .spectral import (
     Eigenmeasure,
     PFResidual,

@@ -19,7 +19,7 @@ import numpy as np
 from . import systems
 from .dictionary import Dictionary, _reduce, _solve, evaluate_batch
 from .edmd import KoopmanMatrix
-from .errors import DomainEscapeError, DomainEscapeWarning, QuadratureSaturationWarning
+from .errors import DomainEscapeError, QuadratureSaturationWarning
 from .systems import DynamicalSystem, Measure, QuadratureRule
 
 _MAX_NODES = 2**14
@@ -40,12 +40,10 @@ def transfer_matrix(system: DynamicalSystem, dic: Dictionary, rule: QuadratureRu
 
 def _images(system, rule):
     """T of the rule's nodes; a node sent outside the domain raises DomainEscapeError."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DomainEscapeWarning)
-        try:
-            return systems.apply_batch(system, rule.nodes)
-        except DomainEscapeWarning as w:
-            raise DomainEscapeError(str(w)) from None
+    images, escaped = systems._map(system, rule.nodes)
+    if escaped:
+        raise DomainEscapeError(systems._escape_message(system, escaped, rule.size))
+    return images
 
 
 def default_quad_order(system: DynamicalSystem, dic: Dictionary) -> int | None:

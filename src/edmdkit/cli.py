@@ -158,7 +158,7 @@ def build_parser() -> _Parser:
     q.add_argument("--x0", type=_finite, required=True)
     q.add_argument("--pair", type=_nonnegative, default=0)
 
-    st = sub.add_parser("study", parents=[common], help="multi-cell experiment studies")
+    st = sub.add_parser("study", help="multi-cell experiment studies")
     stsub = st.add_subparsers(dest="study", required=True)
 
     q = add(stsub, "spectra", _cmd_study_spectra, triple)
@@ -361,7 +361,7 @@ def _cmd_eigenmeasure(args):
            lambda f: write_eigenmeasure_csv(nu, f))
     fns = [lambda p: np.ones(p.shape[1]), lambda p: p[0], lambda p: p[0] ** 2]
     for label, res in zip(["1", "x", "x^2"], pf_check(nu, system, fns)):
-        r2 = "skipped" if res.r2_skipped else f"{res.r2:.6e}"
+        r2 = "skipped" if res.r2 is None else f"{res.r2:.6e}"
         print(f"pf-check h={label}: r1={res.r1:.6e} r2={r2}")
     return 0
 

@@ -61,8 +61,9 @@ def _reduction(pair: SnapshotPair, dic: Dictionary) -> tuple[np.ndarray, float, 
 def generate_iid(system: DynamicalSystem, measure: Measure, count: int, seed: int) -> SnapshotPair:
     """Draw iid states from ``measure`` and pair them with their images.
 
-    Deterministic given the seed; domain escapes of the images are reported
-    through DomainEscapeWarning by the batch map.
+    Deterministic given the seed.  The images are one ``systems.apply_batch``:
+    escapes are reported by one DomainEscapeWarning, and a non-finite image
+    raises the map's NonFiniteError.
     """
     X = systems.sample(measure, count, seed)
     if X.shape[0] != system.dimension:

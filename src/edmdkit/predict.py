@@ -18,22 +18,7 @@ from . import systems
 from .dictionary import Dictionary, _reduce, _solve, evaluate_batch
 from .edmd import KoopmanMatrix
 from .errors import NonFiniteError
-from .systems import DynamicalSystem, Measure, as_state
-
-
-@dataclass(frozen=True)
-class QuadratureEval:
-    """Evaluate L2(mu) integrals with a Gauss rule of the given order."""
-
-    order: int
-
-
-@dataclass(frozen=True)
-class MonteCarloEval:
-    """Evaluate L2(mu) integrals by seeded Monte Carlo averaging."""
-
-    count: int
-    seed: int
+from .systems import DynamicalSystem, QuadratureRule, as_state
 
 
 @dataclass(frozen=True)
@@ -119,32 +104,16 @@ def predict(k: KoopmanMatrix, c, x0, horizon: int, dic: Dictionary,
     return PredictionResult(horizon, predicted, truth, errors)
 
 
-def l2_error(
-    k: KoopmanMatrix,
-    c,
-    dic: Dictionary,
-    system: DynamicalSystem,
-    measure: Measure,
-    horizon: int,
-    eval_spec,
-) -> np.ndarray:
-    """Per-step root integrals (int ||C A^i psi - f o T^i||^2 dmu)^(1/2).
-
-    ``eval_spec`` selects the integration path: QuadratureEval(order) or
-    MonteCarloEval(count, seed).  Horizon 0 returns an empty vector.
+def l2_error(k: KoopmanMatrix, c, dic: Dictionary, system: DynamicalSystem,
+             rule: QuadratureRule, horizon: int) -> np.ndarray:
+    """Per-step root integrals (int ||C A^i psi - f o T^i||^2 dmu)^(1/2), the
+    integrals taken with ``rule``: a Gauss rule of the measure, or M samples of
+    it with weights 1/M for Monte Carlo.  Horizon 0 returns an empty vector.
     """
     cmat = _as_observable_rows(c, dic.size)
-    if isinstance(eval_spec, QuadratureEval):
-        rule = systems.gauss_rule(measure, eval_spec.order)
-        pts, w = rule.nodes, rule.weights
-    elif isinstance(eval_spec, MonteCarloEval):
-        pts = systems.sample(measure, eval_spec.count, eval_spec.seed)
-        w = np.full(eval_spec.count, 1.0 / eval_spec.count)
-    else:
-        raise TypeError(f"unsupported eval spec {eval_spec!r}")
     out = np.empty(horizon)
-    for i, (pred, true) in enumerate(_rollout(k, cmat, dic, system, pts, horizon)):
-        out[i] = np.sqrt(float(np.sum(w * np.sum(np.abs(pred - true) ** 2, axis=0))))
+    for i, (pred, true) in enumerate(_rollout(k, cmat, dic, system, rule.nodes, horizon)):
+        out[i] = np.sqrt(float(np.sum(rule.weights * np.sum(np.abs(pred - true) ** 2, axis=0))))
     return out
 
 

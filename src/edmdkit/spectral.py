@@ -171,11 +171,10 @@ def eigenmeasure_extract(
 @dataclass(frozen=True)
 class PFResidual:
     """Residuals of the trajectory-shift identity (r1) and the finite-N
-    Perron-Frobenius defect (r2) for one test function."""
+    Perron-Frobenius defect (r2, None when skipped) for one test function."""
 
     r1: float
     r2: float | None
-    r2_skipped: bool
 
 
 _ZERO_EIGENVALUE = 1e-12
@@ -193,7 +192,7 @@ def pf_check(nu: Eigenmeasure, system: DynamicalSystem, test_fns) -> list[PFResi
       finite-N defect of the limiting Perron-Frobenius relation, whose size is
       the O(1/N) trajectory boundary term.
 
-    r2 is skipped (flagged) when |lambda| is numerically zero, where the
+    r2 is skipped (None) when |lambda| is numerically zero, where the
     limiting relation is not defined.
     """
     n = nu.count
@@ -206,11 +205,11 @@ def pf_check(nu: Eigenmeasure, system: DynamicalSystem, test_fns) -> list[PFResi
         hx = np.asarray(h(nu.atoms)).reshape(-1)
         r1 = abs(np.mean(hx * phi_next) - lam * np.mean(hx * phi))
         if abs(lam) <= _ZERO_EIGENVALUE:
-            out.append(PFResidual(float(r1), None, True))
+            out.append(PFResidual(float(r1), None))
             continue
         htx = np.asarray(h(t_atoms)).reshape(-1)
         r2 = abs(np.mean(htx * phi) - np.mean(hx * phi) / lam)
-        out.append(PFResidual(float(r1), float(r2), False))
+        out.append(PFResidual(float(r1), float(r2)))
     return out
 
 

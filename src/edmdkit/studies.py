@@ -24,7 +24,7 @@ from .data import generate_iid
 from .dictionary import Dictionary, parse_dictionary
 from .edmd import fit_edmd
 from .errors import ConfigError
-from .predict import QuadratureEval, l2_error, observable_matrix, predict
+from .predict import l2_error, observable_matrix, predict
 from .spectral import eig, hausdorff
 from .systems import DynamicalSystem, Measure
 
@@ -149,14 +149,14 @@ def convergence_sweep(
     for n in n_list:
         dic = _family_dictionary(family, n, system.domain)
         k_an = fit_analytic(system, dic, measure)
-        ev = QuadratureEval(max(128, 2 * n))
+        rule = systems.gauss_rule(measure, max(128, 2 * n))
         cmat = _observable(f, dic, measure)
         for m, seed, k in chain([("analytic", None, k_an)],
                                 _sampled_fits(system, dic, measure, m_list, seeds)):
             gap = None if k is k_an else float(np.linalg.norm(k.A - k_an.A))
             label = f"analytic_N{n}" if k is k_an else f"sampled_N{n}_M{m}_seed{seed}"
             fname = spectrum_writer(label, eig(k)) if spectrum_writer else ""
-            errs = l2_error(k, cmat, dic, system, measure, horizon, ev)
+            errs = l2_error(k, cmat, dic, system, rule, horizon)
             rows.extend(SweepRow(n, str(m), seed, step, float(e), gap, fname)
                         for step, e in enumerate(errs, start=1))
     return rows

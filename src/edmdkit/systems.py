@@ -119,24 +119,26 @@ def as_points(points, dimension=None):
 
 
 def apply(system: DynamicalSystem, x) -> np.ndarray:
-    """One step of the map: the first step of ``_orbit`` from one column.  A
-    result outside the domain is reported through a DomainEscapeWarning, not an
-    error, so long-horizon studies keep running; a non-finite one raises
-    NonFiniteError."""
-    s = as_state(x, system.dimension)
-    y, _ = next(_orbit(system, s[:, None]))
-    return y[:, 0]
+    """One step of the map on one state: ``apply_batch`` on one column."""
+    return apply_batch(system, as_state(x, system.dimension)[:, None])[:, 0]
 
 
 def apply_batch(system: DynamicalSystem, points) -> np.ndarray:
-    """Column-wise map application with a single escape report per call."""
+    """T on the columns of ``points``, one checked step (``_step``): images
+    outside the domain are reported by one DomainEscapeWarning, not an error,
+    so long-horizon studies keep running; a non-finite image raises
+    NonFiniteError."""
     return _step(system, as_points(points, system.dimension))[0]
 
 
-def _step(system: DynamicalSystem, pts):
-    """T on the columns of ``pts`` and the number of images outside the domain,
-    reported by one DomainEscapeWarning attributed to the caller of
-    ``apply_batch`` or of ``_orbit``."""
+def _escape_message(system: DynamicalSystem, escaped, count):
+    return f"{system.name}: {escaped} of {count} images left the domain"
+
+
+def _map(system: DynamicalSystem, pts):
+    """T on the columns of ``pts``, circle axes wrapped, and the number of
+    images outside the domain (a non-finite image on a box among them); no
+    report and no check."""
     if system.forward_batch is not None:
         out = np.asarray(system.forward_batch(pts), dtype=float)
     else:
@@ -144,29 +146,32 @@ def _step(system: DynamicalSystem, pts):
         for j in range(pts.shape[1]):
             out[:, j] = system.forward(pts[:, j])
     out = system.domain.wrap(out)
-    escaped = int(np.sum(~system.domain.contains(out)))
+    return out, int(np.sum(~system.domain.contains(out)))
+
+
+def _step(system: DynamicalSystem, pts):
+    """``_map`` checked: escapes are reported by one DomainEscapeWarning,
+    attributed to the caller of ``apply_batch`` or of ``_orbit``, then a
+    non-finite image raises NonFiniteError naming the first column it came
+    from."""
+    out, escaped = _map(system, pts)
     if escaped:
-        warnings.warn(
-            f"{system.name}: {escaped} of {pts.shape[1]} images left the domain",
-            DomainEscapeWarning,
-            stacklevel=3,
-        )
+        warnings.warn(_escape_message(system, escaped, pts.shape[1]), DomainEscapeWarning,
+                      stacklevel=3)
+    finite = np.all(np.isfinite(out), axis=0)
+    if not np.all(finite):
+        raise NonFiniteError(f"{system.name}: the image of {pts[:, np.argmin(finite)]} "
+                             "is not finite")
     return out, escaped
 
 
 def _orbit(system: DynamicalSystem, points):
     """Yield (T^i points, number of them outside the domain) for i = 1, 2, ...:
-    the one orbit loop, one ``_step`` and so at most one DomainEscapeWarning
-    per step.  A non-finite image raises NonFiniteError naming the first column
-    it came from."""
+    the one orbit loop, ``_step`` repeated, so each step issues at most one
+    DomainEscapeWarning and a non-finite image raises NonFiniteError."""
     while True:
-        image, escaped = _step(system, points)
-        finite = np.all(np.isfinite(image), axis=0)
-        if not np.all(finite):
-            bad = points[:, np.argmin(finite)]
-            raise NonFiniteError(f"{system.name}: the image of {bad} is not finite")
-        yield image, escaped
-        points = image
+        points, escaped = _step(system, points)
+        yield points, escaped
 
 
 @dataclass(frozen=True)

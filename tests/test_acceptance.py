@@ -11,7 +11,6 @@ import time
 import numpy as np
 
 from edmdkit import (
-    QuadratureEval,
     RankDeficiencyError,
     eig,
     eigenmeasure_extract,
@@ -215,7 +214,7 @@ def test_criterion_7_strong_convergence_trend():
         dic = parse_dictionary(f"legendre:{n - 1}")
         k = fit_analytic(LOGISTIC, dic, UNIFORM11)
         cmat = observable_matrix(lambda p: p[0], dic, gauss_rule(UNIFORM11, 64))
-        errs = l2_error(k, cmat, dic, LOGISTIC, UNIFORM11, 5, QuadratureEval(128))
+        errs = l2_error(k, cmat, dic, LOGISTIC, gauss_rule(UNIFORM11, 128), 5)
         step1[n], step5[n] = float(errs[0]), float(errs[4])
     elapsed = time.perf_counter() - t0
     failures = []

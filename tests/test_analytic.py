@@ -1,9 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from edmdkit import (
+    DomainEscapeError,
+    DomainEscapeWarning,
     QuadratureSaturationWarning,
     RankDeficiencyError,
     default_quad_order,
@@ -186,3 +189,42 @@ class TestFitAnalytic:
         lam = np.linalg.eigvalsh(g)
         assert k.sigma_max == pytest.approx(lam[-1])
         assert k.sigma_min == pytest.approx(lam[0])
+
+
+class TestDomainEscape:
+    """Quadrature nodes mapped outside the domain make the integrals meaningless:
+    DomainEscapeError, no DomainEscapeWarning, whatever the caller's filters."""
+
+    AFFINE = parse_system("affine:a=2,b=0")
+    DIC = parse_dictionary("legendre:4")
+
+    @pytest.mark.parametrize("action", ["ignore", "always"])
+    @pytest.mark.parametrize("call", ["fit_analytic", "transfer_matrix"])
+    def test_escape_raises_without_warning(self, call, action):
+        def run():
+            if call == "fit_analytic":
+                return fit_analytic(self.AFFINE, self.DIC, UNIFORM11)
+            return transfer_matrix(self.AFFINE, self.DIC, gauss_rule(UNIFORM11, 64))
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            with pytest.raises(DomainEscapeError) as info:
+                run()
+        assert str(info.value) == "affine:a=2.0,b=0.0: 42 of 64 images left the domain"
+        assert not [w for w in caught if issubclass(w.category, DomainEscapeWarning)]
+
+    def test_caller_filters_unchanged_inside_the_map(self):
+        # the map runs under the caller's warning filters, as any other thread sees them
+        seen = []
+
+        def step(x):
+            seen.append(list(warnings.filters))
+            return 2.0 * x * x - 1.0
+
+        system = DynamicalSystem("recorded", box(-1.0, 1.0), forward=step, forward_batch=step,
+                                 polynomial_degree=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DomainEscapeWarning)
+            expected = list(warnings.filters)
+            fit_analytic(system, self.DIC, UNIFORM11)
+        assert seen and all(filters == expected for filters in seen)

@@ -173,6 +173,9 @@ class TestExitCodes:
         # --analytic and --M name two different fits
         ["spectrum", *TRIPLE, "--analytic", "--M", "100"],
         ["predict", *TRIPLE, "--x0", "0.3", "--horizon", "3", "--analytic", "--M", "100"],
+        # output options belong to the study's subcommand, not to ``study``
+        ["study", "--reproducible", "mc-rate", *TRIPLE, "--M", "100", "--seeds", "1"],
+        ["study", "--outdir", "d", "spectra", *TRIPLE, "--M", "100", "--seeds", "1"],
         ["edmd", *TRIPLE[:4], "--measure", "uniform:1,0", "--M", "100"],
         ["edmd", *TRIPLE[:4], "--measure", "gaussian:0,0", "--M", "100"],
         ["edmd", *TRIPLE[:4], "--measure", "gaussian:0,-1", "--M", "100"],
@@ -192,6 +195,8 @@ class TestExitCodes:
         ["study", "prediction", *TRIPLE, "--M", "20", "--x0", "0.3", "--horizon", "2000"],
         # Gauss-Hermite nodes of a wide Gaussian leave the logistic domain
         ["analytic", *TRIPLE[:4], "--measure", "gaussian:0,1"],
+        ["analytic", "--system", "affine:a=2,b=0", "--dict", "legendre:4",
+         "--measure", "uniform:-1,1"],
     ], ids=lambda argv: " ".join(argv))
     @pytest.mark.filterwarnings("ignore")
     def test_numerical_failure_is_one_prefixed_line(self, tmp_path, capsys, argv):

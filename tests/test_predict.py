@@ -9,9 +9,7 @@ import pytest
 from edmdkit import (
     DomainEscapeWarning,
     DynamicalSystem,
-    MonteCarloEval,
     NonFiniteError,
-    QuadratureEval,
     QuadratureRule,
     RankDeficiencyError,
     apply_batch,
@@ -42,6 +40,11 @@ PREDICT = importlib.import_module("edmdkit.predict")
 
 def coordinate_observable(dic, measure):
     return observable_matrix(lambda p: p[0], dic, gauss_rule(measure, max(64, 2 * dic.size)))
+
+
+def monte_carlo(measure, count, seed):
+    """The Monte-Carlo integral as a rule: weights 1/M on M seeded samples."""
+    return QuadratureRule(sample(measure, count, seed), np.full(count, 1.0 / count))
 
 
 class TestPredict:
@@ -114,14 +117,14 @@ class TestL2Error:
         dic = parse_dictionary("legendre:4")
         k = fit_edmd(generate_iid(system, UNIFORM11, 80, seed=3), dic)
         errs = l2_error(k, coordinate_observable(dic, UNIFORM11), dic, system,
-                        UNIFORM11, 6, QuadratureEval(64))
+                        gauss_rule(UNIFORM11, 64), 6)
         assert np.max(errs) <= 1e-10
 
     def test_zero_horizon_empty(self):
         dic = parse_dictionary("legendre:4")
         k = fit_analytic(LOGISTIC, dic, UNIFORM11)
         errs = l2_error(k, coordinate_observable(dic, UNIFORM11), dic, LOGISTIC,
-                        UNIFORM11, 0, QuadratureEval(32))
+                        gauss_rule(UNIFORM11, 32), 0)
         assert errs.shape == (0,)
 
     def test_quadrature_and_monte_carlo_agree(self):
@@ -130,8 +133,8 @@ class TestL2Error:
         dic = parse_dictionary("legendre:8")
         k = fit_edmd(generate_iid(LOGISTIC, UNIFORM11, 1000, seed=0), dic)
         c = coordinate_observable(dic, UNIFORM11)
-        quad = l2_error(k, c, dic, LOGISTIC, UNIFORM11, 5, QuadratureEval(128))
-        mc = l2_error(k, c, dic, LOGISTIC, UNIFORM11, 5, MonteCarloEval(10**5, 42))
+        quad = l2_error(k, c, dic, LOGISTIC, gauss_rule(UNIFORM11, 128), 5)
+        mc = l2_error(k, c, dic, LOGISTIC, monte_carlo(UNIFORM11, 10**5, 42), 5)
         for q, m in zip(quad, mc):
             if q < 1e-12 and m < 1e-12:
                 continue
@@ -154,7 +157,7 @@ class TestL2Error:
         for seed in (0, 5, 9):
             x0 = sample(measure, 1, seed)[:, 0]
             res = predict(k, c, x0, 8, dic, system)
-            errs = l2_error(k, c, dic, system, measure, 8, MonteCarloEval(1, seed))
+            errs = l2_error(k, c, dic, system, monte_carlo(measure, 1, seed), 8)
             assert np.all(np.abs(res.errors - errs) <= 1e-14 * np.abs(errs))
             assert np.max(errs) > 1e-6
 
@@ -213,7 +216,7 @@ class TestBlockedRollout:
         k = fit_analytic(LOGISTIC, dic, UNIFORM11)
         c = coordinate_observable(dic, UNIFORM11)
         rule = gauss_rule(UNIFORM11, order)
-        errs = l2_error(k, c, dic, LOGISTIC, UNIFORM11, 40, QuadratureEval(order))
+        errs = l2_error(k, c, dic, LOGISTIC, rule, 40)
         ref = [math.sqrt(float(np.sum(rule.weights * np.sum(np.abs(p - t) ** 2, axis=0))))
                for p, t in stepwise_rollout(k, c, dic, LOGISTIC, rule.nodes, 40)]
         assert np.max(np.abs(errs - ref)) <= 1e-15
@@ -277,8 +280,8 @@ class TestBlockedRollout:
         k = fits[9]
         for count, horizon, expected in [(8000, 5, [8000] * 6), (1000, 10, [1000, 7000, 3000])]:
             sizes.clear()
-            l2_error(k, rows[9], k.dictionary, LOGISTIC, UNIFORM11, horizon,
-                     MonteCarloEval(count, 1))
+            l2_error(k, rows[9], k.dictionary, LOGISTIC, monte_carlo(UNIFORM11, count, 1),
+                     horizon)
             assert sizes == expected
 
 

@@ -333,7 +333,7 @@ class TestPfCheck:
         d = eig(k)
         nu = eigenmeasure_extract(k, d, 0, pair)
         for res in pf_check(nu, system, self.fns()):
-            assert not res.r2_skipped
+            assert res.r2 is not None
             assert res.r2 <= 1e-9
 
     def test_r2_equals_boundary_term(self):
@@ -365,7 +365,7 @@ class TestPfCheck:
             tail_value=0.1 + 0j,
         )
         results = pf_check(nu, LOGISTIC, self.fns())
-        assert all(r.r2_skipped and r.r2 is None for r in results)
+        assert all(r.r2 is None for r in results)
         assert all(np.isfinite(r.r1) for r in results)
 
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from edmdkit import (
-    QuadratureEval,
     convergence_sweep,
     eig,
     fit_analytic,
@@ -84,7 +83,7 @@ class TestConvergenceSweep:
         dic = parse_dictionary("legendre:8")
         k = fit_analytic(LOGISTIC, dic, UNIFORM11)
         direct = l2_error(k, coordinate_observable(dic, UNIFORM11), dic, LOGISTIC,
-                          UNIFORM11, 3, QuadratureEval(128))
+                          gauss_rule(UNIFORM11, 128), 3)
         assert [r.l2_error for r in rows] == pytest.approx(direct, abs=1e-13)
         assert all(r.m_or_analytic == "analytic" and r.frob_gap is None for r in rows)
 

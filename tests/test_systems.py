@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -75,6 +76,18 @@ class TestApply:
                 np.errstate(over="ignore"):
             apply(system, [1e308])
         assert issubclass(NonFiniteError, ValueError)
+
+    def test_batch_non_finite_image_warns_then_raises(self):
+        # apply_batch is the checked step: one escape report, then the map's error
+        system = DynamicalSystem("grow", box(-1.0, 1.0), forward=lambda x: 1e200 * x,
+                                 forward_batch=lambda x: 1e200 * x)
+        with warnings.catch_warnings(record=True) as caught, np.errstate(over="ignore"):
+            warnings.simplefilter("always")
+            with pytest.raises(NonFiniteError,
+                               match=r"^grow: the image of \[5.e\+199\] is not finite$"):
+                apply_batch(system, [[0.0, 5e199, 1e-201]])
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (DomainEscapeWarning, "grow: 1 of 3 images left the domain")]
 
 
 class TestGaussRule:
