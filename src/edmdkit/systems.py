@@ -138,14 +138,16 @@ def _escape_message(system: DynamicalSystem, escaped, count):
 def _map(system: DynamicalSystem, pts):
     """T on the columns of ``pts``, circle axes wrapped, and the number of
     images outside the domain (a non-finite image on a box among them); no
-    report and no check."""
-    if system.forward_batch is not None:
-        out = np.asarray(system.forward_batch(pts), dtype=float)
-    else:
-        out = np.empty_like(pts)
-        for j in range(pts.shape[1]):
-            out[:, j] = system.forward(pts[:, j])
-    out = system.domain.wrap(out)
+    report and no check.  numpy's overflow and invalid-value warnings are off:
+    a non-finite image is the caller's to report."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if system.forward_batch is not None:
+            out = np.asarray(system.forward_batch(pts), dtype=float)
+        else:
+            out = np.empty_like(pts)
+            for j in range(pts.shape[1]):
+                out[:, j] = system.forward(pts[:, j])
+        out = system.domain.wrap(out)
     return out, int(np.sum(~system.domain.contains(out)))
 
 

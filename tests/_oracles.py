@@ -155,3 +155,18 @@ def gram_solve(g, b):
     rule, the caller judges lam."""
     lam, v = np.linalg.eigh(g)
     return v @ ((v.conj().T @ b) / lam[:, None]), lam
+
+
+def weighted_moments(psi, t, w):
+    """G = sum_k w_k psi_k psi_k^H and B = sum_k w_k psi_k t_k^H by plain
+    products: what R11^H R11 and R11^H R12 of the least-squares reduction
+    must reproduce."""
+    pw = psi * w
+    return pw @ psi.conj().T, pw @ t.conj().T
+
+
+def weighted_lstsq(psi, t, w):
+    """A^H minimizing sum_k w_k ||A psi_k - t_k||^2, by numpy's SVD-based
+    lstsq on the rows sqrt(w_k) [psi_k^H | t_k^H] with its default cutoff."""
+    sw = np.sqrt(w)[:, None]
+    return np.linalg.lstsq(psi.conj().T * sw, t.conj().T * sw, rcond=None)[0]

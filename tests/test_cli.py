@@ -1,5 +1,8 @@
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -203,6 +206,21 @@ class TestExitCodes:
         assert run(tmp_path, *argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("edmdkit: numerical failure:") and err.count("\n") == 1
+
+    def test_overflowing_map_prints_no_numpy_warning(self, tmp_path):
+        # a fresh interpreter under the default warning filters, which pytest
+        # would otherwise capture: the overflow of 2x^2 - 1 reaches stderr only
+        # as the failure line (the DomainEscapeWarning before it stays)
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        env.pop("PYTHONWARNINGS", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "edmdkit.cli", "edmd", "--system", "logistic", "--dict",
+             "legendre:4", "--measure", "gaussian:0,1e308", "--M", "10",
+             "--outdir", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        assert "RuntimeWarning" not in proc.stderr
+        assert proc.stderr.splitlines()[-1].startswith("edmdkit: numerical failure:")
 
     @pytest.mark.parametrize("case", ["outdir-is-file", "outdir-under-file", "out-missing-dir"])
     def test_unwritable_output_path_is_config_error(self, tmp_path, capsys, case):

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -175,13 +176,16 @@ class TestOneEvaluation:
                 array[0, 0] = 0.5
 
     def test_blocks_cover_the_pair_in_order(self, evaluated):
-        # 20000 snapshots are three blocks of X and three of Y, evaluated once
-        # each and in order; the maxima behind residual_scale keep their bits
+        # 20000 snapshots are blocks of X and of Y, alternating, ``_BLOCK``
+        # columns each but the last, evaluated once each and in order; the
+        # maxima behind residual_scale keep their bits
         dic = parse_dictionary("legendre:6")
         pair = generate_iid(self.LOGISTIC, parse_measure("uniform:-1,1"), 20_000, seed=4)
         k = fit_edmd(pair, dic)
         scale = residual_scale(pair, dic)
-        assert [p.shape[1] for p in evaluated] == [8192, 8192, 8192, 8192, 3616, 3616]
+        widths = [min(data._BLOCK, 20_000 - i) for i in range(0, 20_000, data._BLOCK)]
+        assert len(widths) > 2 and widths[-1] < data._BLOCK
+        assert [p.shape[1] for p in evaluated] == [w for w in widths for _ in "XY"]
         assert np.array_equal(np.concatenate(evaluated[0::2], axis=1), pair.X)
         assert np.array_equal(np.concatenate(evaluated[1::2], axis=1), pair.Y)
         psix = evaluate_batch(dic, pair.X)
@@ -189,3 +193,21 @@ class TestOneEvaluation:
         assert scale == max(1.0, float(np.max(np.abs(psiy)) * np.max(np.abs(psix))))
         ref, *_ = np.linalg.lstsq(psix.T, psiy.T, rcond=None)
         assert np.linalg.norm(k.A - ref.T) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_reduction_memory_does_not_grow_with_m(self):
+        # streamed: the traced peak is a few QR steps of (2N + _BLOCK) x 2N
+        # doubles whatever M is, never an N x M slot (seen: 4.04 steps, 9.1 MB
+        # at N = 65; the 8192-row steps before held 34.6 MB)
+        dic = parse_dictionary("legendre:64")
+        step = (2 * dic.size + data._BLOCK) * 2 * dic.size * 8
+        peaks = []
+        for m in [4 * data._BLOCK, 16 * data._BLOCK]:
+            pair = generate_iid(self.LOGISTIC, parse_measure("uniform:-1,1"), m, seed=5)
+            tracemalloc.start()
+            try:
+                data._reduction(pair, dic)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 0.05 * peaks[0]
+        assert max(peaks) <= 6 * step

@@ -3,16 +3,24 @@ import pytest
 
 from edmdkit import (
     Dictionary,
+    apply_batch,
     box,
     circle,
+    data,
     derivative,
     evaluate,
     evaluate_batch,
     gauss_rule,
+    generate_iid,
     gram,
     parse_dictionary,
+    parse_measure,
+    parse_system,
     uniform,
 )
+from edmdkit.dictionary import _BLOCK, _reduce, _solve
+
+from _oracles import weighted_lstsq, weighted_moments
 
 SQRT3 = 1.7320508075688772
 
@@ -143,6 +151,63 @@ class TestGram:
         for dic in cases:
             g = gram(dic, gauss_rule(uniform(dic.domain), 64))
             assert np.linalg.eigvalsh(g)[0] > 1e-10
+
+
+def _reduction_case(name, m):
+    """(R, psi, t, w) for m rows, reduced the way the library's callers hand
+    them over: a snapshot pair through ``data._reduction`` in ``_BLOCK``-column
+    blocks, a Gauss rule as one weighted block as in ``analytic._fit``."""
+    logistic = parse_system("logistic")
+    if name == "gauss legendre:8":
+        dic, rule = legendre(8), gauss_rule(parse_measure("uniform:-1,1"), m)
+        psi = evaluate_batch(dic, rule.nodes)
+        t = evaluate_batch(dic, apply_batch(logistic, rule.nodes))
+        return _reduce([(psi, t, rule.weights)]), psi, t, rule.weights
+    if name == "rotation fourier:5":
+        system = parse_system("rotation:omega=0.8378")
+        dic, measure = parse_dictionary("fourier:5", system.domain), uniform(system.domain)
+    else:  # logistic legendre:8: psi_0(X) = psi_0(Y) = 1, so [psi(X)^H | psi(Y)^H] is singular
+        system, dic, measure = logistic, legendre(8), parse_measure("uniform:-1,1")
+    pair = generate_iid(system, measure, m, seed=3)
+    r, _, _ = data._reduction(pair, dic)
+    return r, evaluate_batch(dic, pair.X), evaluate_batch(dic, pair.Y), np.ones(m)
+
+
+class TestReduceSeams:
+    """The blocked QR of dictionary._reduce against plain-numpy moments and
+    lstsq on either side of each _BLOCK seam; M < N is the rank-deficient
+    short input, and every case has an exactly singular [psi(X)^H | psi(Y)^H]
+    (psi_0 = 1 on both sides; rotation only multiplies fourier modes)."""
+
+    CASES = [(name, m) for name in ["logistic legendre:8", "rotation fourier:5",
+                                    "gauss legendre:8"]
+             for m in [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7]]
+
+    @pytest.mark.parametrize("name, m", [*CASES, ("logistic legendre:8", 5)],
+                             ids=str)
+    def test_moments_and_fit_match_references(self, name, m):
+        # seen: G within 4.1e-15, B within 1.2e-14 of max|G|; A within 3.1e-15 relative
+        r, psi, t, w = _reduction_case(name, m)
+        n = len(psi)
+        assert r.shape == (2 * n, 2 * n) and np.array_equal(r, np.triu(r))
+        g, b = weighted_moments(psi, t, w)
+        r11, r12 = r[:n, :n], r[:n, n:]
+        assert np.max(np.abs(r11.conj().T @ r11 - g)) <= 1e-12 * np.max(np.abs(g))
+        assert np.max(np.abs(r11.conj().T @ r12 - b)) <= 1e-12 * np.max(np.abs(g))
+        a_h, _ = _solve(r, n, m)
+        ref = weighted_lstsq(psi, t, w)
+        assert np.linalg.norm(a_h - ref) <= 1e-12 * np.linalg.norm(ref)
+        diag = np.abs(np.diag(r))
+        assert diag.min() <= 1e-13 * diag.max()  # the exact rank deficiency reached R22
+
+    @pytest.mark.parametrize("name, m", [(name, m) for name, m in CASES if m <= _BLOCK]
+                             + [("logistic legendre:8", 5)], ids=str)
+    def test_one_block_is_one_qr_call(self, name, m):
+        # at most _BLOCK rows: the same bits as one QR of all the rows, zero rows below
+        r, psi, t, w = _reduction_case(name, m)
+        ref = np.linalg.qr(np.concatenate([psi, t]).conj().T * np.sqrt(w)[:, None], mode="r")
+        assert np.array_equal(r[:len(ref)], ref)
+        assert not np.any(r[len(ref):])
 
 
 class TestValidation:
