@@ -104,7 +104,7 @@ def fit_analytic(
         if np.linalg.norm(a - prev) <= _AGREEMENT:
             break
     return KoopmanMatrix(
-        A=np.ascontiguousarray(a, dtype=complex),
+        A=a,
         dictionary=dic,
         provenance=f"analytic:order={order}",
         sigma_max=float(lam[0]),

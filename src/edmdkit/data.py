@@ -28,6 +28,9 @@ class SnapshotPair:
     _r: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.X.ndim != 2 or self.X.shape != self.Y.shape or self.X.shape[1] < 1:
+            raise ValueError(f"X and Y must be (d, M) arrays of one shape with M >= 1, "
+                             f"got {self.X.shape} and {self.Y.shape}")
         self.X.setflags(write=False)
         self.Y.setflags(write=False)
 

@@ -206,6 +206,8 @@ def _reduce(blocks):
                 buf[:k], buf[k:k + len(part)] = r, part
                 part = buf[:k + len(part)]
             r = np.linalg.qr(part, mode="r")
+    if r is None:
+        raise ValueError("least-squares reduction of no rows")
     return np.concatenate([r, np.zeros((r.shape[1] - r.shape[0], r.shape[1]), r.dtype)])
 
 

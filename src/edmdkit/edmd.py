@@ -32,6 +32,10 @@ from .systems import Domain, box, circle
 class KoopmanMatrix:
     """N x N Koopman matrix with provenance and conditioning diagnostics.
 
+    A is stored contiguous, as float64 when no entry has a nonzero imaginary
+    part (every fit of a real dictionary, and its CSV read back), complex128
+    otherwise: real dictionaries get real eigensolves and real products.
+
     ``sigma_max``/``sigma_min`` are the extreme singular values of R11, the
     block of the least-squares reduction whose (pseudo)inversion produced A:
     sigma(psi(X)) for sampled fits, and their squares, the Gram eigenvalues,
@@ -44,6 +48,10 @@ class KoopmanMatrix:
     provenance: str  # "sampled:M=<M>;seed=<s>" | "analytic:order=<n>" | ...
     sigma_max: float
     sigma_min: float
+
+    def __post_init__(self):
+        a = np.asarray(self.A, dtype=complex)
+        object.__setattr__(self, "A", np.ascontiguousarray(a if np.any(a.imag) else a.real))
 
     @property
     def size(self):
@@ -75,7 +83,7 @@ def fit_edmd(snapshots: SnapshotPair, dic: Dictionary, tikhonov: float = 0.0) ->
     prov_tail = snapshots.provenance.split(":", 1)[1]
     kind = "sampled" if not snapshots.is_trajectory else "sampled-trajectory"
     return KoopmanMatrix(
-        A=np.ascontiguousarray(a_h.conj().T, dtype=complex),
+        A=a_h.conj().T,
         dictionary=dic,
         provenance=f"{kind}:{prov_tail}",
         sigma_max=float(s[0]),

@@ -23,7 +23,7 @@ from .systems import DynamicalSystem, QuadratureRule, as_state
 
 @dataclass(frozen=True)
 class PredictionResult:
-    """Per-step predictions C A^i psi(x0) against the iterated truth."""
+    """Per-step predictions C A^i psi(x0) against the iterated truth, as complex arrays."""
 
     horizon: int
     predicted: np.ndarray  # (horizon, n) complex
@@ -58,7 +58,7 @@ def _rollout(k: KoopmanMatrix, cmat, dic: Dictionary, system: DynamicalSystem, p
     step at a time, the prediction check of a step before its truth.  Only the
     A z recurrence is sequential.
     """
-    z = evaluate_batch(dic, points).astype(complex)
+    z = evaluate_batch(dic, points)
     (d, m), n = points.shape, cmat.shape[0]
     orbit = systems._orbit(system, points)
     block = max(1, _TRUTH_BLOCK // (dic.size * m))

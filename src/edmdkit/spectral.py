@@ -52,7 +52,10 @@ def eig(k: KoopmanMatrix) -> SpectralDecomp:
     Left pairs of A are right pairs of A^H with conjugated eigenvalues, which
     is how they are computed.  Each eigenvector is normalized to unit length
     and its phase fixed so the largest-magnitude entry (first, on ties) is
-    real positive, making repeated calls bit-identical.
+    real positive, making repeated calls bit-identical.  A real A (every fit
+    of a real dictionary) takes LAPACK's real solver: real eigenvalues come
+    out with imaginary part exactly 0, complex ones in exact conjugate pairs.
+    Eigenvalues and eigenvectors are complex128 for every A.
     """
     a = k.A
     try:
@@ -61,7 +64,9 @@ def eig(k: KoopmanMatrix) -> SpectralDecomp:
         s = np.linalg.svd(a, compute_uv=False)
         cond = np.inf if s[-1] == 0 else float(s[0] / s[-1])
         raise EigensolverError("eigendecomposition did not converge", cond) from exc
-    lam = np.conj(conj_vals)
+    # complex even when numpy returns an all-real spectrum as real arrays; + 0j turns
+    # the -0.0 conj gives a real eigenvalue's imaginary part into +0.0 (argument 0 or pi)
+    lam, w = np.conj(conj_vals) + 0j, w.astype(complex)
     # normalize and phase-fix
     w = w / np.linalg.norm(w, axis=0, keepdims=True)
     pivot = np.argmax(np.abs(w), axis=0)

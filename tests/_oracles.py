@@ -5,7 +5,9 @@ come from power iteration with deflation (no LAPACK _geev), projections from
 explicit Gram solves on quadrature grids, moments from closed forms,
 Gauss-Legendre rules from Newton steps on the three-term recurrence, least
 squares from the SVD of the wide psi(X) or the eigendecomposition of G
-instead of the QR of [psi(X)^H | psi(Y)^H].
+instead of the QR of [psi(X)^H | psi(Y)^H].  The one LAPACK _geev path here,
+``complex_eig``, is the complex eigensolve that real Koopman matrices no
+longer take, kept as the reference for the real one.
 """
 
 import math
@@ -170,3 +172,22 @@ def weighted_lstsq(psi, t, w):
     lstsq on the rows sqrt(w_k) [psi_k^H | t_k^H] with its default cutoff."""
     sw = np.sqrt(w)[:, None]
     return np.linalg.lstsq(psi.conj().T * sw, t.conj().T * sw, rcond=None)[0]
+
+
+def complex_eig(a, tie=1e-12):
+    """Left eigenvalues, unit phase-fixed eigenvectors and residuals of A the
+    way ``eig`` computed them when every A was complex128: A cast to complex,
+    zgeev on A^H, the same normalization, phase fix and ordering (descending
+    magnitude, ties within ``tie`` max|lambda| by ascending argument)."""
+    a = np.asarray(a, dtype=complex)
+    conj_vals, w = np.linalg.eig(a.conj().T)
+    lam = np.conj(conj_vals)
+    w = w / np.linalg.norm(w, axis=0, keepdims=True)
+    phase = w[np.argmax(np.abs(w), axis=0), np.arange(w.shape[1])]
+    w = w * (np.abs(phase) / phase)
+    by_mag = np.argsort(-np.abs(lam), kind="stable")
+    mag = np.abs(lam[by_mag])
+    tier = np.cumsum(np.concatenate(([0], mag[:-1] - mag[1:] > tie * mag[:1])))
+    order = by_mag[np.lexsort((np.angle(lam[by_mag]), tier))]
+    lam, w = lam[order], w[:, order]
+    return lam, w, np.linalg.norm(a.conj().T @ w - w * np.conj(lam), axis=0)

@@ -8,6 +8,7 @@ from edmdkit import (
     DomainEscapeWarning,
     DynamicalSystem,
     NonFiniteError,
+    SnapshotPair,
     apply,
     box,
     data,
@@ -96,6 +97,20 @@ class TestGenerateTrajectory:
     def test_trajectory_provenance(self):
         pair = generate_trajectory(parse_system("logistic"), [0.3], 5)
         assert pair.is_trajectory
+
+
+class TestSnapshotPairShape:
+    def test_no_snapshots(self):
+        with pytest.raises(ValueError, match="M >= 1"):
+            SnapshotPair(np.zeros((1, 0)), np.zeros((1, 0)), "iid:seed=0;M=0")
+
+    def test_x_and_y_of_different_shapes(self):
+        with pytest.raises(ValueError, match="one shape"):
+            SnapshotPair(np.zeros((1, 3)), np.zeros((1, 2)), "iid:seed=0;M=3")
+
+    def test_reader_rejects_an_empty_table(self):
+        with pytest.raises(ValueError, match="M >= 1"):
+            read_snapshots_csv(io.StringIO("d,M,provenance\n1,0,iid:seed=0;M=0\n"))
 
 
 class TestCsvRoundTrip:

@@ -209,6 +209,12 @@ class TestReduceSeams:
         assert np.array_equal(r[:len(ref)], ref)
         assert not np.any(r[len(ref):])
 
+    @pytest.mark.parametrize("blocks", [[], [(np.zeros((3, 0)), np.zeros((3, 0)), 1.0)]],
+                             ids=["no blocks", "empty block"])
+    def test_no_rows(self, blocks):
+        with pytest.raises(ValueError, match="no rows"):
+            _reduce(iter(blocks))
+
 
 class TestValidation:
     def test_fourier_requires_circle(self):

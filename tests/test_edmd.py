@@ -5,9 +5,11 @@ import pytest
 
 from edmdkit import (
     ConfigError,
+    KoopmanMatrix,
     RankDeficiencyError,
     SnapshotPair,
     apply_operator,
+    eig,
     evaluate_batch,
     fit_analytic,
     fit_edmd,
@@ -271,15 +273,49 @@ class TestTheorem1Residual:
             theorem1_residual(k, pair, dic)
 
 
+class TestMatrixDtype:
+    """A is stored as float64 when no entry has a nonzero imaginary part."""
+
+    @pytest.mark.parametrize("spec", ["legendre:6", "monomial:4", "sine:3"])
+    def test_real_dictionaries_give_real_a(self, spec):
+        dic = parse_dictionary(spec)
+        k = fit_edmd(generate_iid(LOGISTIC, UNIFORM11, 200, seed=6), dic)
+        assert k.A.dtype == np.float64 and k.A.flags.c_contiguous
+        if dic.family != "sine":
+            assert fit_analytic(LOGISTIC, dic, UNIFORM11).A.dtype == np.float64
+
+    def test_fourier_gives_complex_a(self):
+        system = parse_system("rotation:omega=0.3")
+        dic = parse_dictionary("fourier:2", system.domain)
+        k = fit_edmd(generate_iid(system, uniform(system.domain), 64, seed=2), dic)
+        assert k.A.dtype == np.complex128
+        assert fit_analytic(system, dic, uniform(system.domain)).A.dtype == np.complex128
+
+    def test_hand_built_matrices(self):
+        dic = parse_dictionary("legendre:2")
+        k = KoopmanMatrix(np.eye(3, dtype=complex), dic, "analytic:order=0", 1.0, 1.0)
+        assert k.A.dtype == np.float64 and np.array_equal(k.A, np.eye(3))
+        a = np.asfortranarray(np.arange(9.0).reshape(3, 3) - 4.0 + 0j)
+        a[2, 0] += 1e-300j
+        k = KoopmanMatrix(a, dic, "analytic:order=0", 1.0, 1.0)
+        assert k.A.dtype == np.complex128 and k.A.flags.c_contiguous
+        assert k.A.tobytes() == np.ascontiguousarray(a).tobytes()
+
+
 class TestCsv:
     def test_round_trip_bitexact(self):
         pair = generate_iid(LOGISTIC, UNIFORM11, 200, seed=6)
         k = fit_edmd(pair, parse_dictionary("legendre:6"))
         buf = io.StringIO()
         write_koopman_csv(k, buf)
+        # a real A is still written as re,im pairs
+        rows = buf.getvalue().splitlines()[2:]
+        assert len(rows) == 7 and all(row.split(",")[1::2] == ["0.0"] * 7 for row in rows)
         buf.seek(0)
         back = read_koopman_csv(buf)
+        assert back.A.dtype == np.float64
         assert back.A.tobytes() == k.A.tobytes()
+        assert eig(back).eigenvalues.tobytes() == eig(k).eigenvalues.tobytes()
         assert back.provenance == k.provenance
         assert back.dictionary == k.dictionary
         assert repr(back.sigma_max) == repr(k.sigma_max)
@@ -295,4 +331,7 @@ class TestCsv:
         buf = io.StringIO()
         write_koopman_csv(k, buf)
         buf.seek(0)
-        assert read_koopman_csv(buf).A.tobytes() == k.A.tobytes()
+        back = read_koopman_csv(buf)
+        assert back.A.dtype == np.complex128
+        assert back.A.tobytes() == k.A.tobytes()
+        assert eig(back).eigenvalues.tobytes() == eig(k).eigenvalues.tobytes()

@@ -165,15 +165,17 @@ class TestL2Error:
 def stepwise_rollout(k, cmat, dic, system, points, horizon):
     """(C A^i psi(points), C psi(T^i points)) for i = 1 .. horizon, one map step
     and one dictionary evaluation per step: the reference for the blocked
-    rollout, raising what it must raise, in the same order."""
-    z = evaluate_batch(dic, points).astype(complex)
+    rollout, raising what it must raise, in the same order.  Like the blocked
+    rollout it steps a real A z in real products and hands predictions out as
+    complex arrays."""
+    z = evaluate_batch(dic, points)
     for i in range(1, horizon + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             z = k.A @ z
         if not np.all(np.isfinite(z)):
             raise NonFiniteError(f"the Koopman prediction A^{i} psi is not finite")
         points = apply_batch(system, points)
-        yield cmat @ z, cmat @ evaluate_batch(dic, points)
+        yield (cmat @ z).astype(complex), cmat @ evaluate_batch(dic, points)
 
 
 def outcome(run):

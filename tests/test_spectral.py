@@ -31,7 +31,7 @@ from edmdkit import (
     write_spectrum_csv,
 )
 
-from _oracles import power_deflate_eigs, set_distance
+from _oracles import complex_eig, power_deflate_eigs, set_distance
 
 LOGISTIC = parse_system("logistic")
 UNIFORM11 = parse_measure("uniform:-1,1")
@@ -119,6 +119,76 @@ class TestEig:
         pair = generate_iid(system, UNIFORM11, 100, seed=2)
         d = eig(fit_edmd(pair, dic))
         assert set_distance(d.eigenvalues, [1.0, 0.5, 0.25, 0.125]) <= 1e-10
+
+
+class TestRealEigensolver:
+    """eig of a real A, which numpy hands to LAPACK's real solver, against
+    ``complex_eig``: the complex solve of the same values that every A took
+    when Koopman matrices were always stored complex."""
+
+    WELL_CONDITIONED = ["analytic legendre:8", "analytic legendre:16", "sampled legendre:64"]
+    TRAJECTORY = "trajectory legendre:99"
+    EPS = np.finfo(float).eps
+
+    @staticmethod
+    def fit(name):
+        kind, spec = name.split()
+        dic = parse_dictionary(spec)
+        if kind == "analytic":
+            return fit_analytic(LOGISTIC, dic, UNIFORM11)
+        if kind == "sampled":
+            return fit_edmd(generate_iid(LOGISTIC, UNIFORM11, 10_000, seed=1), dic)
+        # acceptance criterion 8's M = N = 100 orbit: cond(psi(X)) ~ 1e16, ||A||_2 ~ 6e11
+        return fit_edmd(generate_trajectory(LOGISTIC, [0.31], 100), dic)
+
+    @pytest.mark.parametrize("name", [*WELL_CONDITIONED, TRAJECTORY])
+    def test_real_a_gives_exact_conjugate_pairs(self, name):
+        k = self.fit(name)
+        lam = eig(k).eigenvalues
+        assert k.A.dtype == np.float64 and lam.dtype == np.complex128
+        # the multiset equals its conjugate exactly, and a real eigenvalue's
+        # imaginary part is +0.0
+        assert np.array_equal(np.sort_complex(lam), np.sort_complex(lam.conj()))
+        assert not np.any(np.signbit(lam.imag[lam.imag == 0.0]))
+
+    @pytest.mark.parametrize("name", WELL_CONDITIONED)
+    def test_matches_complex_path(self, name):
+        # outside the near-zero cluster (|lambda| <= 8.2e-12 here: the
+        # defective eigenvalue 0 of the analytic fits) seen: eigenvalue sets
+        # within 9.6e-16, 1.7e-15 and 3.7e-15, residuals within 3.3 eps ||A||_F;
+        # in the cluster residuals up to 3.5e-9, and 3.8e-9 on the complex path
+        k = self.fit(name)
+        d = eig(k)
+        lam0, _, res0 = complex_eig(k.A)
+        big, big0 = np.abs(d.eigenvalues) > 1e-9, np.abs(lam0) > 1e-9
+        assert np.count_nonzero(big) == np.count_nonzero(big0)
+        assert set_distance(d.eigenvalues[big], lam0[big0]) <= 2e-14
+        # eigenvalues the complex path puts within roundoff of the axis are exactly real
+        assert (np.count_nonzero(d.eigenvalues[big].imag == 0.0)
+                == np.count_nonzero(np.abs(lam0[big0].imag) <= 1e-12))
+        assert np.max(d.residuals[big]) <= 16 * self.EPS * np.linalg.norm(k.A)
+        assert np.max(d.residuals) <= 10 * np.max(res0)
+
+    def test_ill_conditioned_trajectory_fit_is_backward_stable(self):
+        # the two paths' eigenvalue sets lie 213 apart here, as backward
+        # errors of eps ||A|| ~ 1e-4 allow; each real-path eigenvalue is an eigenvalue
+        # of A + E with ||E||_2 <= N eps ||A||_2 (seen 1.3e-18 ||A||_2), and
+        # the residuals stay at the complex path's (seen 0.75 of its largest)
+        k = self.fit(self.TRAJECTORY)
+        d = eig(k)
+        _, _, res0 = complex_eig(k.A)
+        n, norm2 = k.size, np.linalg.norm(k.A, 2)
+        smin = [np.linalg.svd(k.A - lam * np.eye(n), compute_uv=False)[-1]
+                for lam in d.eigenvalues]
+        assert max(smin) <= n * self.EPS * norm2
+        assert np.max(d.residuals) <= 10 * np.max(res0)
+
+    def test_complex_a_keeps_the_complex_path(self):
+        _, _, k = rotation_fit(0.8378, max_mode=4)
+        assert k.A.dtype == np.complex128
+        d = eig(k)
+        for got, ref in zip((d.eigenvalues, d.eigen_coeffs, d.residuals), complex_eig(k.A)):
+            assert np.array_equal(got, ref)
 
 
 class TestHausdorff:
