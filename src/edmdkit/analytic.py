@@ -2,8 +2,8 @@
 
 Builds A = M_T G^{-1}, G the Gram matrix of the dictionary under the reference
 measure and M_T the transfer matrix with entries integral of
-psi_i(T x) conj(psi_j(x)), as A^H = R11^{-1} R12 from the QR of the rows
-sqrt(w_k) [psi(x_k)^H | psi(T x_k)^H], never forming G = R11^H R11.
+psi_i(T x) conj(psi_j(x)); row i of A, the projection of psi_i o T onto the span,
+comes from ``dictionary._project`` of the rows sqrt(w_k) [psi(x_k)^H | psi(T x_k)^H].
 Closed-form integrals are not special-cased: for polynomial maps and
 dictionaries an exact Gauss rule is mathematically equivalent and keeps a
 single code path; for everything else the quadrature order is escalated until
@@ -17,7 +17,7 @@ import warnings
 import numpy as np
 
 from . import systems
-from .dictionary import Dictionary, _reduce, _solve, evaluate_batch
+from .dictionary import Dictionary, _project, evaluate_batch
 from .edmd import KoopmanMatrix
 from .errors import DomainEscapeError, QuadratureSaturationWarning
 from .systems import DynamicalSystem, Measure, QuadratureRule
@@ -62,13 +62,25 @@ def default_quad_order(system: DynamicalSystem, dic: Dictionary) -> int | None:
 
 
 def _fit(system, dic, measure, order):
-    """A and the descending Gram eigenvalues sigma(R11)^2 under the Gauss rule
-    of ``order`` nodes; R11 counts as singular at N * eps * sigma_max."""
+    """A and sigma(R11) under the Gauss rule of ``order`` nodes: row i projects
+    psi_i o T onto the span, singular at max(N, order) eps sigma_max."""
     rule = systems.gauss_rule(measure, order)
-    rows = ((evaluate_batch(dic, rule.nodes), evaluate_batch(dic, tx), rule.weights)
-            for tx in [_images(system, rule)])
-    a_h, s = _solve(_reduce(rows), dic.size, dic.size, what="psi on the quadrature nodes")
-    return a_h.conj().T, s**2
+    images = _images(system, rule)
+    return _project(dic, rule, lambda nodes: evaluate_batch(dic, images))
+
+
+def _escalation(size):
+    """Orders doubling from 64 past N (fewer nodes leave R11 singular) up to
+    ``_MAX_NODES``; running out warns the caller of fit_analytic."""
+    order = 64
+    while order < size:
+        order *= 2
+    yield order
+    while order * 2 <= _MAX_NODES:
+        order *= 2
+        yield order
+    warnings.warn(f"quadrature saturation: {order} nodes reached without {_AGREEMENT:g} "
+                  "agreement", QuadratureSaturationWarning, stacklevel=3)
 
 
 def fit_analytic(
@@ -79,34 +91,14 @@ def fit_analytic(
 ) -> KoopmanMatrix:
     """Sampling-free construction A = M_T G^{-1}.
 
-    Every dictionary takes the one reduction and solve, orthonormal under
+    Every dictionary takes the one weighted projection, orthonormal under
     ``measure`` or not; a numerically singular R11 raises RankDeficiencyError.
     """
-    order = quad_order if quad_order is not None else default_quad_order(system, dic)
-    escalate = order is None
-    if escalate:
-        order = 64
-        while order < dic.size:  # a rule with fewer nodes than N is singular
-            order *= 2
-    a, lam = _fit(system, dic, measure, order)
-    while escalate:
-        if order * 2 > _MAX_NODES:
-            warnings.warn(
-                f"quadrature saturation: {order} nodes reached without "
-                f"{_AGREEMENT:g} agreement",
-                QuadratureSaturationWarning,
-                stacklevel=2,
-            )
+    fixed = quad_order if quad_order is not None else default_quad_order(system, dic)
+    a = None
+    for order in _escalation(dic.size) if fixed is None else [fixed]:
+        prev, (a, s) = a, _fit(system, dic, measure, order)
+        if prev is not None and np.linalg.norm(a - prev) <= _AGREEMENT:
             break
-        prev = a
-        order *= 2
-        a, lam = _fit(system, dic, measure, order)
-        if np.linalg.norm(a - prev) <= _AGREEMENT:
-            break
-    return KoopmanMatrix(
-        A=a,
-        dictionary=dic,
-        provenance=f"analytic:order={order}",
-        sigma_max=float(lam[0]),
-        sigma_min=float(lam[-1]),
-    )
+    return KoopmanMatrix(A=a, dictionary=dic, provenance=f"analytic:order={order}",
+                         sigma_max=float(s[0]), sigma_min=float(s[-1]))

@@ -221,3 +221,13 @@ def _solve(r, n, count, tikhonov=0.0, what=None):
     k = s > max(n, count) * np.finfo(float).eps * s[0]
     a_h = (u[:, k].conj().T @ r[:n, n:]) / (s[k] + tikhonov / s[k])[:, None]
     return vh[k].conj().T @ a_h, s
+
+
+def _project(dic: Dictionary, rule: QuadratureRule, f):
+    """Rows C minimizing sum_k w_k ||C psi(x_k) - f(x_k)||^2 over the K nodes of
+    ``rule`` and sigma(R11): psi and f(nodes), (n, K) or (K,), are evaluated in
+    the one block ``_reduce`` drops before its QR; R11 counts as singular at
+    max(N, K) eps sigma_max."""
+    rows = ((evaluate_batch(dic, x), np.atleast_2d(f(x)), rule.weights) for x in [rule.nodes])
+    c_h, s = _solve(_reduce(rows), dic.size, rule.size, what="psi on the rule's nodes")
+    return c_h.conj().T, s

@@ -38,9 +38,9 @@ class KoopmanMatrix:
 
     ``sigma_max``/``sigma_min`` are the extreme singular values of R11, the
     block of the least-squares reduction whose (pseudo)inversion produced A:
-    sigma(psi(X)) for sampled fits, and their squares, the Gram eigenvalues,
-    for analytic fits.  A sampled fit with fewer snapshots than dictionary
-    elements (M < N) has ``sigma_min`` 0 and an infinite ``condition``.
+    sigma(psi(X)) for sampled fits, the square roots of the quadrature Gram
+    eigenvalues for analytic fits.  A sampled fit with fewer snapshots than
+    dictionary elements (M < N) has ``sigma_min`` 0 and an infinite ``condition``.
     """
 
     A: np.ndarray

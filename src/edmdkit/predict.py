@@ -15,7 +15,7 @@ from itertools import islice
 import numpy as np
 
 from . import systems
-from .dictionary import Dictionary, _reduce, _solve, evaluate_batch
+from .dictionary import Dictionary, _project, evaluate_batch
 from .edmd import KoopmanMatrix
 from .errors import NonFiniteError
 from .systems import DynamicalSystem, QuadratureRule, as_state
@@ -121,11 +121,5 @@ def observable_matrix(f, dic: Dictionary, rule) -> np.ndarray:
     """Rows of coefficients c_i with c_i psi ~ f_i, the weighted least-squares
     projection of each row f_i of f(rule.nodes) in the measure the rule realizes
     (weights 1/M on M sample points: the empirical projection), exact whenever
-    f_i lies in the span.  One reduction of the rows sqrt(w_k) [psi(x_k)^H | f(x_k)^H];
-    a singular R11 (count max(N, M)) raises RankDeficiencyError."""
-    vals = np.asarray(f(rule.nodes))
-    if vals.ndim == 1:
-        vals = vals[None, :]
-    r = _reduce((evaluate_batch(dic, rule.nodes), v, rule.weights) for v in [vals])
-    c_h, _ = _solve(r, dic.size, rule.size, what="psi on the rule's nodes")
-    return np.ascontiguousarray(c_h.conj().T)
+    f_i lies in the span; ``dictionary._project`` raises RankDeficiencyError."""
+    return np.ascontiguousarray(_project(dic, rule, f)[0])

@@ -16,6 +16,7 @@ from edmdkit import (
     gauss_rule,
     generate_iid,
     gram,
+    observable_matrix,
     parse_dictionary,
     parse_measure,
     parse_system,
@@ -28,6 +29,12 @@ from _oracles import quadrature_projection
 
 LOGISTIC = parse_system("logistic")
 UNIFORM11 = parse_measure("uniform:-1,1")
+SOFT_COSINE = DynamicalSystem(  # no exact Gauss rule: fit_analytic escalates
+    name="soft-cosine",
+    domain=box(-1.0, 1.0),
+    forward=lambda x: np.cos(x) - 0.5,
+    forward_batch=lambda p: np.cos(p) - 0.5,
+)
 
 
 class TestTransferMatrix:
@@ -125,21 +132,77 @@ class TestFitAnalytic:
 
     @pytest.mark.parametrize("spec", ["legendre:4", "monomial:4"])
     def test_escalation_for_nonpolynomial_map(self, spec):
-        system = DynamicalSystem(
-            name="soft-cosine",
-            domain=box(-1.0, 1.0),
-            forward=lambda x: np.cos(x) - 0.5,
-            forward_batch=lambda p: np.cos(p) - 0.5,
-        )
         dic = parse_dictionary(spec)
-        k = fit_analytic(system, dic, UNIFORM11)
-        k_ref = fit_analytic(system, dic, UNIFORM11, quad_order=256)
+        k = fit_analytic(SOFT_COSINE, dic, UNIFORM11)
+        k_ref = fit_analytic(SOFT_COSINE, dic, UNIFORM11, quad_order=256)
         assert np.linalg.norm(k.A - k_ref.A) <= 1e-11
         # the escalated fit is the fit at the order it reports, bit for bit
         order = int(k.provenance.split("=")[1])
-        k_at = fit_analytic(system, dic, UNIFORM11, quad_order=order)
+        k_at = fit_analytic(SOFT_COSINE, dic, UNIFORM11, quad_order=order)
         assert k.A.tobytes() == k_at.A.tobytes()
         assert (k.sigma_max, k.sigma_min) == (k_at.sigma_max, k_at.sigma_min)
+
+    # worst seen against the 1024-node oracle: 1.6e-15
+    @pytest.mark.parametrize("spec, orders", [("legendre:99", [128, 256]),
+                                              ("legendre:129", [256, 512])])
+    def test_escalation_starts_at_n_nodes(self, monkeypatch, spec, orders):
+        # more than 64 elements: the first rule doubles from 64 until it has N nodes
+        import edmdkit.systems
+
+        original, seen = edmdkit.systems.gauss_rule, []
+
+        def recorded(measure, order):
+            seen.append(order)
+            return original(measure, order)
+
+        monkeypatch.setattr(edmdkit.systems, "gauss_rule", recorded)
+        dic = parse_dictionary(spec)
+        k = fit_analytic(SOFT_COSINE, dic, UNIFORM11)
+        assert seen == orders
+        assert k.provenance == f"analytic:order={orders[-1]}"
+        rule = original(UNIFORM11, 1024)
+        psi_t = evaluate_batch(dic, np.cos(rule.nodes) - 0.5)
+        for i in range(dic.size):
+            oracle = quadrature_projection(dic, rule, psi_t[i])
+            assert np.max(np.abs(np.conj(k.A[i]) - oracle)) <= 1e-13
+
+    # R11 counts as singular at max(N, K) eps sigma_max for K nodes, in
+    # fit_analytic as in observable_matrix: logistic monomial:37 fits on its
+    # default 76 nodes (cond 4.9e13) and raises on 128, and soft-cosine
+    # monomial:32 (cond 6.2e11) fits on 4096 nodes and raises on 8192
+    @pytest.mark.parametrize("system, spec, order, singular", [
+        (LOGISTIC, "monomial:3", 3, True),  # fewer nodes than N
+        (LOGISTIC, "monomial:3", 4, False),
+        (LOGISTIC, "monomial:20", 64, False),
+        (LOGISTIC, "monomial:37", 76, False),
+        (LOGISTIC, "monomial:37", 128, True),
+        (LOGISTIC, "monomial:38", 76, True),
+        (SOFT_COSINE, "monomial:32", 4096, False),
+        (SOFT_COSINE, "monomial:32", 8192, True),
+    ], ids=lambda v: getattr(v, "name", v))
+    def test_one_rank_rule_with_observable_matrix(self, system, spec, order, singular):
+        dic = parse_dictionary(spec)
+        rule = gauss_rule(UNIFORM11, order)
+
+        def composed(nodes):
+            return evaluate_batch(dic, system.forward_batch(nodes))
+
+        if singular:
+            with pytest.raises(RankDeficiencyError):
+                fit_analytic(system, dic, UNIFORM11, quad_order=order)
+            with pytest.raises(RankDeficiencyError):
+                observable_matrix(composed, dic, rule)
+        else:
+            # one projection: the rows of A are those of psi o T, bit for bit
+            k = fit_analytic(system, dic, UNIFORM11, quad_order=order)
+            assert k.A.tobytes() == observable_matrix(composed, dic, rule).tobytes()
+
+    def test_escalation_to_a_singular_rule_raises(self):
+        # soft-cosine monomial:32 escalates past 4096 nodes without 1e-12
+        # agreement; the 8192-node rule is singular at max(N, K) eps, where
+        # a count of N let it saturate at 16384 nodes
+        with pytest.raises(RankDeficiencyError):
+            fit_analytic(SOFT_COSINE, parse_dictionary("monomial:32"), UNIFORM11)
 
     def test_saturation_warning_on_cap(self):
         # a map so rough the escalation cannot settle before the node cap
@@ -187,8 +250,9 @@ class TestFitAnalytic:
         k = fit_analytic(LOGISTIC, dic, UNIFORM11)
         g = gram(dic, gauss_rule(UNIFORM11, 64))
         lam = np.linalg.eigvalsh(g)
-        assert k.sigma_max == pytest.approx(lam[-1])
-        assert k.sigma_min == pytest.approx(lam[0])
+        # sigma(R11) squared are the eigenvalues of the quadrature Gram matrix
+        assert k.sigma_max**2 == pytest.approx(lam[-1])
+        assert k.sigma_min**2 == pytest.approx(lam[0])
 
 
 class TestDomainEscape:

@@ -182,6 +182,10 @@ class TestExitCodes:
         ["edmd", *TRIPLE[:4], "--measure", "uniform:1,0", "--M", "100"],
         ["edmd", *TRIPLE[:4], "--measure", "gaussian:0,0", "--M", "100"],
         ["edmd", *TRIPLE[:4], "--measure", "gaussian:0,-1", "--M", "100"],
+        ["eigenmeasure", *ROTATION, "--N", "4", "--x0", "0.7"],  # Fourier sizes are odd
+        ["study", "strong-convergence", "--system", "logistic", "--family", "sine",
+         "--measure", "uniform:-1,1", "--N", "3"],
+        [*STRONG, "--N", "5,3"],
     ], ids=lambda argv: " ".join(argv))
     def test_bad_input_is_config_error(self, tmp_path, capsys, argv):
         assert run(tmp_path, *argv) == 1
@@ -220,7 +224,13 @@ class TestExitCodes:
             capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 2
         assert "RuntimeWarning" not in proc.stderr
-        assert proc.stderr.splitlines()[-1].startswith("edmdkit: numerical failure:")
+        *warning, failure = proc.stderr.splitlines()
+        assert failure.startswith("edmdkit: numerical failure:")
+        # before it only the sampling's one warning, as ``warnings`` prints it:
+        # the location line, then the source line when it can be read
+        assert warning[0].endswith(
+            ": DomainEscapeWarning: logistic: 10 of 10 images left the domain")
+        assert len(warning) <= 2 and all(line.startswith("  ") for line in warning[1:])
 
     @pytest.mark.parametrize("case", ["outdir-is-file", "outdir-under-file", "out-missing-dir"])
     def test_unwritable_output_path_is_config_error(self, tmp_path, capsys, case):
@@ -257,6 +267,14 @@ class TestValidate:
         code = run(tmp_path, "validate", "--system", "henon")
         assert code == 0
         assert "error" in capsys.readouterr().out
+
+    def test_each_unknown_identifier_is_one_error_line(self, tmp_path, capsys):
+        code = run(tmp_path, "validate", "--system", "logistic", "--dict", "chebyshev:3",
+                   "--measure", "beta:1,2")
+        assert code == 0
+        errors = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("error:")]
+        assert errors == ["error: unknown dictionary 'chebyshev:3'",
+                          "error: unknown measure 'beta:1,2'"]
 
     def test_clean_config_is_silent(self, tmp_path, capsys):
         code = run(tmp_path, "validate", "--system", "logistic", "--dict", "legendre:8",

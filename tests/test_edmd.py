@@ -131,13 +131,13 @@ class TestFitEdmd:
 def _regime(name, rng):
     """(fit, reference A, sigma_max, sigma_min) for one least-squares regime:
     sampled fits against the SVD of the wide psi(X), analytic fits against
-    the eigendecomposition of G."""
+    the eigendecomposition of G, whose eigenvalues are sigma(R11)^2."""
     rot = parse_system("rotation:omega=0.8378")
     if name.startswith("analytic"):
         dic = parse_dictionary(name.split()[1])
         rule = gauss_rule(UNIFORM11, 64)
         a_h, lam = gram_solve(gram(dic, rule), transfer_matrix(LOGISTIC, dic, rule).conj().T)
-        return fit_analytic(LOGISTIC, dic, UNIFORM11), a_h.conj().T, lam[-1], lam[0]
+        return fit_analytic(LOGISTIC, dic, UNIFORM11), a_h.conj().T, *np.sqrt(lam[[-1, 0]])
     t = 0.0
     if name == "rank-deficient":  # four atoms, each repeated five times
         x = np.repeat(rng.uniform(-1.0, 1.0, (1, 4)), 5, axis=1)
