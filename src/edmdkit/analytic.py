@@ -66,7 +66,7 @@ def _fit(system, dic, measure, order):
     psi_i o T onto the span, singular at max(N, order) eps sigma_max."""
     rule = systems.gauss_rule(measure, order)
     images = _images(system, rule)
-    return _project(dic, rule, lambda nodes: evaluate_batch(dic, images))
+    return _project(dic, rule, lambda cols: evaluate_batch(dic, images[:, cols]))
 
 
 def _escalation(size):

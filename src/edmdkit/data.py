@@ -10,7 +10,7 @@ import numpy as np
 
 from . import systems
 from ._table import float_rows, read_table, write_table
-from .dictionary import _BLOCK, Dictionary, _reduce, evaluate_batch
+from .dictionary import Dictionary, _reduce, evaluate_batch
 from .systems import DynamicalSystem, Measure, as_state
 
 
@@ -49,13 +49,7 @@ def _reduction(pair: SnapshotPair, dic: Dictionary) -> tuple[np.ndarray, float, 
     max|psi(X)| and max|psi(Y)|.  The pair's slot keeps them for ``dic``; a refill
     computes the same values, so concurrent callers are safe."""
     if pair._r is None or pair._r[0] != dic:
-        peaks = [0.0, 0.0]
-        def blocks():
-            for i in range(0, pair.count, _BLOCK):
-                psi = [evaluate_batch(dic, v[:, i:i + _BLOCK]) for v in (pair.X, pair.Y)]
-                peaks[:] = [max(p, float(np.max(np.abs(v)))) for p, v in zip(peaks, psi)]
-                yield *psi, 1.0
-        r = _reduce(blocks())
+        r, *peaks = _reduce(dic, pair.X, lambda cols: evaluate_batch(dic, pair.Y[:, cols]))
         r.setflags(write=False)
         object.__setattr__(pair, "_r", (dic, r, *peaks))
     return pair._r[1:]

@@ -24,10 +24,10 @@ import numpy as np
 from .errors import ConfigError, NonFiniteError, check_rank
 from .systems import Domain, QuadratureRule, as_points, as_state, box, circle
 
-# Rows per QR step of the least-squares reduction, folded in order (and columns
-# per psi evaluation of a snapshot pair).  A (2N + _BLOCK) x 2N step stays in
-# cache: a legendre:64 fit at M = 1e5, one BLAS thread, took 0.63 s at 1024
-# rows per step, 0.61 s at 2048, 0.69 s at 4096 and 0.78 s at 8192 (medians).
+# Points per block of the least-squares reduction, whose psi and target are
+# evaluated and folded as one (2N + _BLOCK) x 2N QR step that stays in cache: a
+# legendre:64 fit at M = 1e5, one BLAS thread, took 0.63 s at 1024 rows per
+# step, 0.61 s at 2048, 0.69 s at 4096 and 0.78 s at 8192 (medians).
 _BLOCK = 2048
 
 
@@ -181,34 +181,36 @@ def gram(dic: Dictionary, rule: QuadratureRule) -> np.ndarray:
     return 0.5 * (g + g.conj().T)
 
 
-def _reduce(blocks):
-    """R = [[R11, R12], [0, R22]] of the rows sqrt(w_k) [psi_k^H | t_k^H] of
-    min_A sum_k w_k ||A psi_k - t_k||^2, from (psi, t, w) column blocks (w = 1.0
-    for unit weights) of one dtype, ``_BLOCK`` rows per QR step in order (TSQR):
-    the first step factors its rows alone, each later one the R so far stacked
-    on the next rows in one reused Fortran-ordered buffer.  Zero rows pad R square.
-    R11^H R11 = sum_k w_k psi_k psi_k^H, the weighted Gram, and
-    R11^H R12 = sum_k w_k psi_k t_k^H."""
+def _reduce(dic: Dictionary, x, target, w=1.0):
+    """R = [[R11, R12], [0, R22]] of the rows sqrt(w_k) [psi(x_k)^H | t_k^H] of
+    min_A sum_k w_k ||A psi(x_k) - t_k||^2 over the columns x_k of ``x``, then
+    max|psi(x)| and max|t|: one pass (TSQR) over ``_BLOCK``-column slices ``cols``
+    of x in order, psi(x[:, cols]) and ``target(cols)`` (n, b) folded as one QR
+    step of the R so far stacked on their rows in one reused Fortran buffer.
+    ``w`` is 1.0 or one weight per column.  Zero rows pad R square.  R11^H R11 =
+    sum_k w_k psi_k psi_k^H, the weighted Gram; R11^H R12 = sum_k w_k psi_k t_k^H."""
     r = buf = None
-    for psi, t, w in blocks:
+    peaks = (0.0, 0.0)
+    for i in range(0, x.shape[1], _BLOCK):
+        cols = slice(i, i + _BLOCK)
+        psi, t = evaluate_batch(dic, x[:, cols]), target(cols)
+        peaks = tuple(max(p, float(np.max(np.abs(v)))) for p, v in zip(peaks, (psi, t)))
         rows = np.concatenate([psi, t]).T  # C-ordered (n, b), so this is Fortran (b, n)
-        del psi, t  # not held during the QR when ``blocks`` is a generator
+        del psi, t  # not held during the QR
         if np.iscomplexobj(rows):
             np.conjugate(rows, out=rows)
-        if np.any(w != 1.0):
-            rows *= np.sqrt(w).reshape(-1, 1)
-        for i in range(0, len(rows), _BLOCK):
-            part = rows[i:i + _BLOCK]
-            if r is not None:
-                if buf is None:
-                    buf = np.empty((r.shape[1] + _BLOCK, r.shape[1]), r.dtype, order="F")
-                k = len(r)
-                buf[:k], buf[k:k + len(part)] = r, part
-                part = buf[:k + len(part)]
-            r = np.linalg.qr(part, mode="r")
+        if np.ndim(w):
+            rows *= np.sqrt(w[cols]).reshape(-1, 1)
+        if r is not None:
+            if buf is None:
+                buf = np.empty((r.shape[1] + _BLOCK, r.shape[1]), r.dtype, order="F")
+            k = len(r)
+            buf[:k], buf[k:k + len(rows)] = r, rows
+            rows = buf[:k + len(rows)]
+        r = np.linalg.qr(rows, mode="r")
     if r is None:
         raise ValueError("least-squares reduction of no rows")
-    return np.concatenate([r, np.zeros((r.shape[1] - r.shape[0], r.shape[1]), r.dtype)])
+    return np.concatenate([r, np.zeros((r.shape[1] - r.shape[0], r.shape[1]), r.dtype)]), *peaks
 
 
 def _solve(r, n, count, tikhonov=0.0, what=None):
@@ -223,11 +225,9 @@ def _solve(r, n, count, tikhonov=0.0, what=None):
     return vh[k].conj().T @ a_h, s
 
 
-def _project(dic: Dictionary, rule: QuadratureRule, f):
-    """Rows C minimizing sum_k w_k ||C psi(x_k) - f(x_k)||^2 over the K nodes of
-    ``rule`` and sigma(R11): psi and f(nodes), (n, K) or (K,), are evaluated in
-    the one block ``_reduce`` drops before its QR; R11 counts as singular at
-    max(N, K) eps sigma_max."""
-    rows = ((evaluate_batch(dic, x), np.atleast_2d(f(x)), rule.weights) for x in [rule.nodes])
-    c_h, s = _solve(_reduce(rows), dic.size, rule.size, what="psi on the rule's nodes")
+def _project(dic: Dictionary, rule: QuadratureRule, target):
+    """Rows C minimizing sum_k w_k ||C psi(x_k) - t_k||^2 over the K nodes of ``rule``,
+    t = ``target(cols)`` per block, and sigma(R11), singular at max(N, K) eps sigma_max."""
+    r, _, _ = _reduce(dic, rule.nodes, target, rule.weights)
+    c_h, s = _solve(r, dic.size, rule.size, what="psi on the rule's nodes")
     return c_h.conj().T, s

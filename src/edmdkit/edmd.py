@@ -32,8 +32,9 @@ from .systems import Domain, box, circle
 class KoopmanMatrix:
     """N x N Koopman matrix with provenance and conditioning diagnostics.
 
-    A is stored contiguous, as float64 when no entry has a nonzero imaginary
-    part (every fit of a real dictionary, and its CSV read back), complex128
+    A must be N x N, N the dictionary's size (ValueError otherwise).  It is
+    stored contiguous, as float64 when no entry has a nonzero imaginary part
+    (every fit of a real dictionary, and its CSV read back), complex128
     otherwise: real dictionaries get real eigensolves and real products.
 
     ``sigma_max``/``sigma_min`` are the extreme singular values of R11, the
@@ -50,7 +51,9 @@ class KoopmanMatrix:
     sigma_min: float
 
     def __post_init__(self):
-        a = np.asarray(self.A, dtype=complex)
+        a, n = np.asarray(self.A, dtype=complex), self.dictionary.size
+        if a.shape != (n, n):
+            raise ValueError(f"A is {a.shape}, not {n} x {n} for {self.dictionary.spec_string}")
         object.__setattr__(self, "A", np.ascontiguousarray(a if np.any(a.imag) else a.real))
 
     @property

@@ -119,7 +119,9 @@ def l2_error(k: KoopmanMatrix, c, dic: Dictionary, system: DynamicalSystem,
 
 def observable_matrix(f, dic: Dictionary, rule) -> np.ndarray:
     """Rows of coefficients c_i with c_i psi ~ f_i, the weighted least-squares
-    projection of each row f_i of f(rule.nodes) in the measure the rule realizes
-    (weights 1/M on M sample points: the empirical projection), exact whenever
-    f_i lies in the span; ``dictionary._project`` raises RankDeficiencyError."""
-    return np.ascontiguousarray(_project(dic, rule, f)[0])
+    projection of each row f_i of f(rule.nodes), one call on all the nodes, in
+    the measure the rule realizes (weights 1/M on M sample points: the empirical
+    projection), exact whenever f_i lies in the span; ``dictionary._project``
+    raises RankDeficiencyError."""
+    values = np.atleast_2d(f(rule.nodes))
+    return np.ascontiguousarray(_project(dic, rule, lambda cols: values[:, cols])[0])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,6 +24,7 @@ from edmdkit import (
     transfer_matrix,
     uniform,
 )
+from edmdkit.dictionary import _BLOCK
 from edmdkit.systems import DynamicalSystem, box
 
 from _oracles import quadrature_projection
@@ -116,6 +118,25 @@ class TestFitAnalytic:
             monkeypatch.setattr(module, "evaluate_batch", counted)
         fit_analytic(LOGISTIC, parse_dictionary(spec), UNIFORM11, quad_order=64)
         assert calls == [(1, 64), (1, 64)]
+
+    def test_fit_memory_does_not_grow_with_nodes(self):
+        # psi and psi o T are evaluated one _BLOCK of nodes at a time, so the
+        # traced peak is a few QR steps of (2N + _BLOCK) x 2N doubles whatever
+        # the order, never a psi of all the nodes (seen: 3.0 and 3.1 steps, 6.9
+        # and 7.1 MB at N = 65)
+        dic = parse_dictionary("legendre:64")
+        step = (2 * dic.size + _BLOCK) * 2 * dic.size * 8
+        peaks = []
+        for order in [4 * _BLOCK, 8 * _BLOCK]:
+            gauss_rule(UNIFORM11, order)  # the cached rule is not the fit's memory
+            tracemalloc.start()
+            try:
+                fit_analytic(LOGISTIC, dic, UNIFORM11, quad_order=order)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 0.05 * peaks[0]
+        assert max(peaks) <= 4 * step
 
     def test_quadrature_saturation_between_orders(self):
         dic = parse_dictionary("legendre:8")

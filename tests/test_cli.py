@@ -297,6 +297,35 @@ class TestPredictCommand:
         assert float(first[1]) == pytest.approx(-0.82)
 
 
+CIRCLE = ["--system", "rotation:omega=0.8378", "--measure", "uniform:0,6.283185307179586"]
+
+
+class TestCircleSystems:
+    """On the circle the default observable is e^{ix}, which lies in every
+    fourier span, so the errors are rounding (seen: at most 2.3e-15)."""
+
+    @pytest.mark.parametrize("fit", [["--analytic"], ["--M", "200"]], ids=["analytic", "sampled"])
+    def test_predict_first_harmonic(self, tmp_path, fit):
+        assert run(tmp_path, "predict", *CIRCLE, "--dict", "fourier:3", "--x0", "0.3",
+                   "--horizon", "5", *fit, "--reproducible") == 0
+        lines = read_file(tmp_path / "prediction.csv").splitlines()[2:]
+        rows = np.array([ln.split(",") for ln in lines], dtype=float)
+        steps = np.arange(1, 6)
+        assert np.array_equal(rows[:, 0], steps)
+        truth = np.exp(1j * (0.3 + 0.8378 * steps))
+        assert np.max(np.abs(rows[:, 1] + 1j * rows[:, 2] - truth)) <= 1e-12
+        assert np.max(rows[:, 5]) <= 1e-12
+
+    def test_strong_convergence(self, tmp_path):
+        assert run(tmp_path, "study", "strong-convergence", *CIRCLE, "--family", "fourier",
+                   "--N", "3,5,9", "--horizon", "3", "--reproducible") == 0
+        lines = read_file(tmp_path / "strong_convergence.csv").splitlines()[2:]
+        rows = [ln.split(",") for ln in lines]
+        assert [(r[0], r[1], r[3]) for r in rows] == [
+            (n, "analytic", step) for n in ["3", "5", "9"] for step in ["1", "2", "3"]]
+        assert max(float(r[4]) for r in rows) <= 1e-12
+
+
 class TestSpectrumCommand:
     def test_csv_and_svg_emitted(self, tmp_path):
         code = run(tmp_path, "spectrum", "--system", "logistic", "--dict", "legendre:8",

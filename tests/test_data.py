@@ -26,6 +26,8 @@ from edmdkit import (
     theorem1_residual,
     write_snapshots_csv,
 )
+from edmdkit import dictionary
+from edmdkit.dictionary import _BLOCK
 
 
 class TestGenerateIid:
@@ -139,15 +141,17 @@ class TestOneEvaluation:
 
     @pytest.fixture
     def evaluated(self, monkeypatch):
-        """Every point set handed to the dictionary, in call order."""
+        """Every point set handed to the dictionary, in call order: psi(X) is
+        evaluated in ``dictionary._reduce``, psi(Y) by the target ``data`` hands it."""
         seen = []
-        original = data.evaluate_batch
+        original = dictionary.evaluate_batch
 
         def counting(dic, points):
             seen.append(points)
             return original(dic, points)
 
-        monkeypatch.setattr(data, "evaluate_batch", counting)
+        for module in (data, dictionary):
+            monkeypatch.setattr(module, "evaluate_batch", counting)
         return seen
 
     def test_iid_pair_evaluated_once(self, evaluated):
@@ -198,8 +202,8 @@ class TestOneEvaluation:
         pair = generate_iid(self.LOGISTIC, parse_measure("uniform:-1,1"), 20_000, seed=4)
         k = fit_edmd(pair, dic)
         scale = residual_scale(pair, dic)
-        widths = [min(data._BLOCK, 20_000 - i) for i in range(0, 20_000, data._BLOCK)]
-        assert len(widths) > 2 and widths[-1] < data._BLOCK
+        widths = [min(_BLOCK, 20_000 - i) for i in range(0, 20_000, _BLOCK)]
+        assert len(widths) > 2 and widths[-1] < _BLOCK
         assert [p.shape[1] for p in evaluated] == [w for w in widths for _ in "XY"]
         assert np.array_equal(np.concatenate(evaluated[0::2], axis=1), pair.X)
         assert np.array_equal(np.concatenate(evaluated[1::2], axis=1), pair.Y)
@@ -211,12 +215,12 @@ class TestOneEvaluation:
 
     def test_reduction_memory_does_not_grow_with_m(self):
         # streamed: the traced peak is a few QR steps of (2N + _BLOCK) x 2N
-        # doubles whatever M is, never an N x M slot (seen: 4.04 steps, 9.1 MB
-        # at N = 65; the 8192-row steps before held 34.6 MB)
+        # doubles whatever M is, never an N x M slot (seen: 2.94 steps, 6.7 MB
+        # at N = 65)
         dic = parse_dictionary("legendre:64")
-        step = (2 * dic.size + data._BLOCK) * 2 * dic.size * 8
+        step = (2 * dic.size + _BLOCK) * 2 * dic.size * 8
         peaks = []
-        for m in [4 * data._BLOCK, 16 * data._BLOCK]:
+        for m in [4 * _BLOCK, 16 * _BLOCK]:
             pair = generate_iid(self.LOGISTIC, parse_measure("uniform:-1,1"), m, seed=5)
             tracemalloc.start()
             try:
@@ -225,4 +229,4 @@ class TestOneEvaluation:
             finally:
                 tracemalloc.stop()
         assert abs(peaks[1] - peaks[0]) <= 0.05 * peaks[0]
-        assert max(peaks) <= 6 * step
+        assert max(peaks) <= 4 * step

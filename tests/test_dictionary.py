@@ -18,9 +18,9 @@ from edmdkit import (
     parse_system,
     uniform,
 )
-from edmdkit.dictionary import _BLOCK, _reduce, _solve
+from edmdkit.dictionary import _BLOCK, _project, _reduce, _solve
 
-from _oracles import weighted_lstsq, weighted_moments
+from _oracles import quadrature_projection, weighted_lstsq, weighted_moments
 
 SQRT3 = 1.7320508075688772
 
@@ -153,16 +153,23 @@ class TestGram:
             assert np.linalg.eigvalsh(g)[0] > 1e-10
 
 
+def _gauss_case(m):
+    """legendre:8, the m-node Gauss rule and the target psi o T on its nodes,
+    as ``analytic._fit`` hands them over."""
+    dic, rule = legendre(8), gauss_rule(parse_measure("uniform:-1,1"), m)
+    images = apply_batch(parse_system("logistic"), rule.nodes)
+    return dic, rule, images, lambda cols: evaluate_batch(dic, images[:, cols])
+
+
 def _reduction_case(name, m):
     """(R, psi, t, w) for m rows, reduced the way the library's callers hand
-    them over: a snapshot pair through ``data._reduction`` in ``_BLOCK``-column
-    blocks, a Gauss rule as one weighted block as in ``analytic._fit``."""
+    them over: a snapshot pair through ``data._reduction``, a Gauss rule with
+    its weights and a lazy target as in ``analytic._fit``."""
     logistic = parse_system("logistic")
     if name == "gauss legendre:8":
-        dic, rule = legendre(8), gauss_rule(parse_measure("uniform:-1,1"), m)
-        psi = evaluate_batch(dic, rule.nodes)
-        t = evaluate_batch(dic, apply_batch(logistic, rule.nodes))
-        return _reduce([(psi, t, rule.weights)]), psi, t, rule.weights
+        dic, rule, images, target = _gauss_case(m)
+        r, _, _ = _reduce(dic, rule.nodes, target, rule.weights)
+        return r, evaluate_batch(dic, rule.nodes), evaluate_batch(dic, images), rule.weights
     if name == "rotation fourier:5":
         system = parse_system("rotation:omega=0.8378")
         dic, measure = parse_dictionary("fourier:5", system.domain), uniform(system.domain)
@@ -209,11 +216,20 @@ class TestReduceSeams:
         assert np.array_equal(r[:len(ref)], ref)
         assert not np.any(r[len(ref):])
 
-    @pytest.mark.parametrize("blocks", [[], [(np.zeros((3, 0)), np.zeros((3, 0)), 1.0)]],
-                             ids=["no blocks", "empty block"])
-    def test_no_rows(self, blocks):
+    @pytest.mark.parametrize("m", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
+    def test_projection_matches_gram_oracle(self, m):
+        # the rule case through _project: rows c_i with c_i psi ~ psi_i o T, as
+        # the normal equations on the same nodes give them
+        dic, rule, images, target = _gauss_case(m)
+        c, s = _project(dic, rule, target)
+        oracle = quadrature_projection(dic, rule, evaluate_batch(dic, images).T)
+        assert np.max(np.abs(c - oracle.conj().T)) <= 1e-13
+        assert s[0] >= s[-1] > 0.5  # orthonormal under the rule: sigma(R11) near 1
+
+    @pytest.mark.parametrize("w", [1.0, np.zeros(0)], ids=["unit weights", "weighted"])
+    def test_no_rows(self, w):
         with pytest.raises(ValueError, match="no rows"):
-            _reduce(iter(blocks))
+            _reduce(legendre(2), np.zeros((1, 0)), lambda cols: np.zeros((3, 0)), w)
 
 
 class TestValidation:

@@ -301,6 +301,13 @@ class TestMatrixDtype:
         assert k.A.dtype == np.complex128 and k.A.flags.c_contiguous
         assert k.A.tobytes() == np.ascontiguousarray(a).tobytes()
 
+    @pytest.mark.parametrize("shape", [(2, 3), (2, 2), (4, 4), (3,)], ids=str)
+    def test_a_must_fit_the_dictionary(self, shape):
+        # legendre:2 has three elements: only a 3 x 3 A is a Koopman matrix of it
+        with pytest.raises(ValueError, match="3 x 3"):
+            KoopmanMatrix(np.ones(shape), parse_dictionary("legendre:2"),
+                          "analytic:order=0", 1.0, 1.0)
+
 
 class TestCsv:
     def test_round_trip_bitexact(self):
@@ -323,6 +330,16 @@ class TestCsv:
         buf2 = io.StringIO()
         write_koopman_csv(back, buf2)
         assert buf2.getvalue() == buf.getvalue()
+
+    def test_reader_rejects_a_matrix_that_does_not_fit_its_dictionary(self):
+        # a 2 x 2 table (N = 2, consistent in itself) labelled legendre:8, size 9
+        pair = generate_iid(LOGISTIC, UNIFORM11, 20, seed=6)
+        buf = io.StringIO()
+        write_koopman_csv(fit_edmd(pair, parse_dictionary("legendre:1")), buf)
+        text = buf.getvalue()
+        assert text.count(",legendre:1,") == 1
+        with pytest.raises(ValueError, match="9 x 9"):
+            read_koopman_csv(io.StringIO(text.replace(",legendre:1,", ",legendre:8,")))
 
     def test_round_trip_complex_fourier(self):
         system = parse_system("rotation:omega=0.3")
