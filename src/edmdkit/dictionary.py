@@ -31,6 +31,10 @@ from .systems import Domain, QuadratureRule, as_points, as_state, box, circle
 _BLOCK = 2048
 
 
+_DEFAULT_DOMAINS = {"legendre": box(-1.0, 1.0), "monomial": box(-1.0, 1.0),
+                    "fourier": circle(1), "sine": box(0.0, 1.0)}
+
+
 @dataclass(frozen=True)
 class Dictionary:
     family: str  # "legendre" | "monomial" | "fourier" | "sine"
@@ -38,7 +42,7 @@ class Dictionary:
     domain: Domain
 
     def __post_init__(self):
-        if self.family not in ("legendre", "monomial", "fourier", "sine"):
+        if self.family not in _DEFAULT_DOMAINS:
             raise ValueError(f"unknown family {self.family!r}")
         if self.domain.dimension != 1:
             raise ValueError("shipped dictionary families are one-dimensional")
@@ -68,10 +72,6 @@ class Dictionary:
         return np.array(ks)
 
 
-_DEFAULT_DOMAINS = {"legendre": box(-1.0, 1.0), "monomial": box(-1.0, 1.0),
-                    "fourier": circle(1), "sine": box(0.0, 1.0)}
-
-
 def parse_dictionary(spec: str, domain: Domain | None = None) -> Dictionary:
     """Build a dictionary from ``legendre:<max_degree>``, ``monomial:<max_degree>``,
     ``fourier:<max_mode>`` or ``sine:<mode>``.
@@ -82,14 +82,29 @@ def parse_dictionary(spec: str, domain: Domain | None = None) -> Dictionary:
     name, _, body = spec.partition(":")
     try:
         param = int(body)
-    except ValueError as exc:
-        raise ConfigError(f"dictionary parameter must be an integer: {spec!r}") from exc
+    except ValueError:
+        param = None
+    # only the integer's own spelling: int() also takes "1_0", "+8", " 8" and "08"
+    if param is None or str(param) != body:
+        raise ConfigError(f"dictionary parameter must be an integer: {spec!r}")
     if name not in _DEFAULT_DOMAINS:
         raise ConfigError(f"unknown dictionary {spec!r}")
     try:
         return Dictionary(name, param, domain if domain is not None else _DEFAULT_DOMAINS[name])
     except ValueError as exc:
         raise ConfigError(f"invalid dictionary {spec!r}: {exc}") from exc
+
+
+def _family_dictionary(family: str, n: int, domain) -> Dictionary:
+    """The dictionary of ``family`` with exactly ``n`` elements on ``domain``;
+    raises ConfigError for sizes and domains the family cannot take."""
+    if family in ("legendre", "monomial"):
+        return parse_dictionary(f"{family}:{n - 1}", domain)
+    if family == "fourier":
+        if n % 2 == 0:
+            raise ConfigError("fourier dictionaries have odd size 2*max_mode+1")
+        return parse_dictionary(f"fourier:{(n - 1) // 2}", domain)
+    raise ConfigError(f"family {family!r} cannot be sized by N")
 
 
 def _legendre(max_deg, t, want_deriv):

@@ -32,7 +32,7 @@ from .systems import Domain, box, circle
 class KoopmanMatrix:
     """N x N Koopman matrix with provenance and conditioning diagnostics.
 
-    A must be N x N, N the dictionary's size (ValueError otherwise).  It is
+    A must be N x N, N the dictionary's size, and finite (ValueError otherwise).  It is
     stored contiguous, as float64 when no entry has a nonzero imaginary part
     (every fit of a real dictionary, and its CSV read back), complex128
     otherwise: real dictionaries get real eigensolves and real products.
@@ -54,6 +54,8 @@ class KoopmanMatrix:
         a, n = np.asarray(self.A, dtype=complex), self.dictionary.size
         if a.shape != (n, n):
             raise ValueError(f"A is {a.shape}, not {n} x {n} for {self.dictionary.spec_string}")
+        if not np.all(np.isfinite(a)):
+            raise ValueError("A has non-finite entries")
         object.__setattr__(self, "A", np.ascontiguousarray(a if np.any(a.imag) else a.real))
 
     @property
@@ -63,6 +65,13 @@ class KoopmanMatrix:
     @property
     def condition(self):
         return self.sigma_max / self.sigma_min if self.sigma_min != 0.0 else np.inf
+
+
+def _check_dictionary(k: KoopmanMatrix, dic: Dictionary):
+    """ValueError unless ``dic`` is the fit's own dictionary, domain included."""
+    if dic != k.dictionary:
+        raise ValueError(f"{dic.spec_string} is not the fit's dictionary "
+                         f"{k.dictionary.spec_string} on its domain")
 
 
 def fit_edmd(snapshots: SnapshotPair, dic: Dictionary, tikhonov: float = 0.0) -> KoopmanMatrix:
@@ -111,7 +120,9 @@ def theorem1_residual(k: KoopmanMatrix, snapshots: SnapshotPair, dic: Dictionary
     G = R11^H R11 and psi(X) psi(Y)^H = R11^H R12 from the pair's reduction.
     Raises RankDeficiencyError when sigma(R11) = sigma(psi(X)) is numerically
     singular (count max(N, M)): the projection then pins down no unique minimizer.
+    ``dic`` must be the fit's own dictionary (ValueError otherwise).
     """
+    _check_dictionary(k, dic)
     r, _, _ = _reduction(snapshots, dic)
     n, m = dic.size, snapshots.count
     _solve(r, n, m, what="psi(X) of the snapshot pair")

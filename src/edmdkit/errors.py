@@ -26,9 +26,9 @@ class RankDeficiencyError(EdmdkitError):
 
 
 def check_rank(what, low, high, count):
-    """Raise RankDeficiencyError when ``low <= count * eps * high``, the extreme
-    eigenvalues (or singular values) ``low``, ``high`` of an N x N matrix;
-    ``count`` is max(N, M) for a Gram matrix summed over M points."""
+    """Raise RankDeficiencyError when ``low <= count * eps * high``, ``low`` and
+    ``high`` the extreme singular values of R11, the N x N factor of a reduction
+    of M points or nodes whose Gram matrix is R11^H R11; ``count`` is max(N, M)."""
     cutoff = count * sys.float_info.epsilon * high
     if low <= cutoff:
         raise RankDeficiencyError(what, float("inf") if low <= 0 else high / low, cutoff)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import systems
 from .dictionary import Dictionary, _project, evaluate_batch
-from .edmd import KoopmanMatrix
+from .edmd import KoopmanMatrix, _check_dictionary
 from .errors import NonFiniteError
 from .systems import DynamicalSystem, QuadratureRule, as_state
 
@@ -56,8 +56,10 @@ def _rollout(k: KoopmanMatrix, cmat, dic: Dictionary, system: DynamicalSystem, p
     each step with points outside the domain.  So the NonFiniteError raised and
     the DomainEscapeWarnings issued are those of stepping and evaluating one
     step at a time, the prediction check of a step before its truth.  Only the
-    A z recurrence is sequential.
+    A z recurrence is sequential.  ``dic`` must be the fit's own dictionary
+    (ValueError otherwise).
     """
+    _check_dictionary(k, dic)
     z = evaluate_batch(dic, points)
     (d, m), n = points.shape, cmat.shape[0]
     orbit = systems._orbit(system, points)

@@ -156,12 +156,10 @@ def eigenmeasure_extract(
         raise ValueError(
             f"eigenmeasure extraction requires M = N, got M={snapshots.count}, N={n}"
         )
-    if not 0 <= j < decomp.size:
-        raise IndexError(f"eigenpair index {j} out of range for size {decomp.size}")
     check_rank("psi(X) in the M = N regime", k.sigma_min, k.sigma_max, n)
-    w = decomp.eigen_coeffs[:, j].conj()
     # phi at the atoms, then at T x_N, the last Y column: no re-application of the map
-    phi = w @ evaluate_batch(k.dictionary, np.hstack([snapshots.X, snapshots.Y[:, -1:]]))
+    phi = eigenfunction_values(decomp, j, k.dictionary,
+                               np.hstack([snapshots.X, snapshots.Y[:, -1:]]))
     sup = float(np.max(np.abs(phi[:-1])))
     if sup == 0.0:
         raise ValueError("eigenfunction vanishes at every trajectory atom")

@@ -21,7 +21,7 @@ import numpy as np
 from . import systems
 from .analytic import fit_analytic
 from .data import generate_iid
-from .dictionary import Dictionary, parse_dictionary
+from .dictionary import Dictionary, _family_dictionary
 from .edmd import fit_edmd
 from .errors import ConfigError
 from .predict import l2_error, observable_matrix, predict
@@ -108,18 +108,6 @@ class SweepRow:
     l2_error: float
     frob_gap: float | None
     spectrum_file: str
-
-
-def _family_dictionary(family: str, n: int, domain) -> Dictionary:
-    """The dictionary of ``family`` with exactly ``n`` elements on ``domain``;
-    raises ConfigError for sizes and domains the family cannot take."""
-    if family in ("legendre", "monomial"):
-        return parse_dictionary(f"{family}:{n - 1}", domain)
-    if family == "fourier":
-        if n % 2 == 0:
-            raise ConfigError("fourier dictionaries have odd size 2*max_mode+1")
-        return parse_dictionary(f"fourier:{(n - 1) // 2}", domain)
-    raise ConfigError(f"family {family!r} cannot be sized by N")
 
 
 def convergence_sweep(

@@ -382,9 +382,6 @@ def gauss_rule(measure: Measure, order: int) -> QuadratureRule:
     if d > 3:
         raise ValueError("tensorized quadrature supports d <= 3")
     axes = [_axis_rule(measure, i, order) for i in range(d)]
-    if d == 1:
-        nodes, weights = axes[0]
-        return QuadratureRule(nodes[None, :].copy(), weights.copy())
     grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
     nodes = np.vstack([g.reshape(-1) for g in grids])
     weights = axes[0][1]
@@ -414,14 +411,19 @@ def _number(text, spec):
     return value
 
 
-def _parse_kv(body, spec):
+def _parse_kv(body, spec, *names):
+    """The values of exactly ``names``, in that order, from ``body``: comma-separated
+    ``name=<float>`` parts, each name given once; an empty body gives no parameters."""
     out = {}
-    for part in body.split(","):
-        if "=" not in part:
-            raise ConfigError(f"malformed parameter {part!r} in {spec!r}")
-        k, _, v = part.partition("=")
+    for part in body.split(",") if body else []:
+        k, eq, v = part.partition("=")
+        if not eq or k.strip() in out:
+            raise ConfigError(f"malformed or repeated parameter {part!r} in {spec!r}")
         out[k.strip()] = _number(v, spec)
-    return out
+    if set(out) != set(names):
+        form = ",".join(f"{n}=<float>" for n in names) or "no parameters"
+        raise ConfigError(f"{spec.partition(':')[0]} takes {form}, got {spec!r}")
+    return [out[n] for n in names]
 
 
 def parse_system(spec: str) -> DynamicalSystem:
@@ -432,20 +434,16 @@ def parse_system(spec: str) -> DynamicalSystem:
     """
     name, _, body = spec.partition(":")
     if name == "logistic":
+        _parse_kv(body, spec)
         return _system("logistic", box(-1.0, 1.0), lambda x: 2.0 * x * x - 1.0, 2)
     if name == "identity":
+        _parse_kv(body, spec)
         return _system("identity", box(-1.0, 1.0), lambda x: x, 1)
     if name == "rotation":
-        kv = _parse_kv(body, spec)
-        if set(kv) != {"omega"}:
-            raise ConfigError(f"rotation takes omega=<float>, got {spec!r}")
-        omega = kv["omega"]
+        omega, = _parse_kv(body, spec, "omega")
         return _system(f"rotation:omega={omega!r}", circle(1), lambda x: x + omega)
     if name == "affine":
-        kv = _parse_kv(body, spec)
-        if set(kv) != {"a", "b"}:
-            raise ConfigError(f"affine takes a=<float>,b=<float>, got {spec!r}")
-        a, b = kv["a"], kv["b"]
+        a, b = _parse_kv(body, spec, "a", "b")
         return _system(f"affine:a={a!r},b={b!r}", box(-1.0, 1.0), lambda x: a * x + b, 1)
     raise ConfigError(f"unknown system {spec!r}")
 

@@ -186,8 +186,30 @@ class TestExitCodes:
         ["study", "strong-convergence", "--system", "logistic", "--family", "sine",
          "--measure", "uniform:-1,1", "--N", "3"],
         [*STRONG, "--N", "5,3"],
+        # every identifier is read in full: no parameter that the system does
+        # not take, none given twice, and sizes spelled as plain integers
+        ["edmd", "--system", "logistic:r=3.9", *TRIPLE[2:], "--M", "100"],
+        ["edmd", "--system", "identity:3", *TRIPLE[2:], "--M", "100"],
+        ["eigenmeasure", "--system", "rotation:omega=1,omega=2", *ROTATION[2:], "--N", "15",
+         "--x0", "0.7"],
+        ["eigenmeasure", "--system", "rotation:omega", *ROTATION[2:], "--N", "15",
+         "--x0", "0.7"],
+        ["eigenmeasure", "--system", "rotation:omega=abc", *ROTATION[2:], "--N", "15",
+         "--x0", "0.7"],
+        ["edmd", "--system", "affine:a=1", *TRIPLE[2:], "--M", "100"],
+        ["edmd", *TRIPLE[:4], "--measure", "uniform:-1", "--M", "100"],
+        ["edmd", *TRIPLE[:2], "--dict", "legendre:x", *TRIPLE[4:], "--M", "100"],
+        ["edmd", *TRIPLE[:2], "--dict", "legendre:1_0", *TRIPLE[4:], "--M", "100"],
+        ["edmd", *TRIPLE, "--M", "abc"],
+        ["predict", *TRIPLE, "--x0", "abc", "--horizon", "3", "--analytic"],
+        ["eigenmeasure", "--system", "logistic", "--family", "sine", "--N", "1", "--x0", "0.3"],
+        # config paths are relative to the test's working directory, tmp_path
+        ["edmd", *TRIPLE, "--M", "100", "--config=missing.cfg"],
+        ["edmd", *TRIPLE, "--M", "100", "--config", "nested.cfg"],
     ], ids=lambda argv: " ".join(argv))
-    def test_bad_input_is_config_error(self, tmp_path, capsys, argv):
+    def test_bad_input_is_config_error(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "nested.cfg").write_text("config=other.cfg\n", encoding="utf-8")
         assert run(tmp_path, *argv) == 1
         assert "configuration error" in capsys.readouterr().err
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from edmdkit import (
+    ConfigError,
     Dictionary,
     apply_batch,
     box,
@@ -240,6 +241,12 @@ class TestValidation:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             Dictionary("chebyshev", 3, box(-1.0, 1.0))
+
+    @pytest.mark.parametrize("body", ["1_0", "+8", " 8", "8 ", "08", "-0", "", "8.0", "x"])
+    def test_parameter_is_a_plain_integer(self, body):
+        # int() reads the first five; the header would then name another dictionary
+        with pytest.raises(ConfigError, match="must be an integer"):
+            parse_dictionary(f"legendre:{body}")
 
     def test_sizes(self):
         assert parse_dictionary("legendre:8").size == 9

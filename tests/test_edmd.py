@@ -241,6 +241,15 @@ class TestTheorem1Residual:
         k = fit_edmd(pair, dic)
         assert theorem1_residual(k, pair, dic) <= 1e-10
 
+    def test_foreign_dictionary_raises(self):
+        # monomial:4 has the fit's size: unchecked it returns 0.163, not roundoff
+        dic = parse_dictionary("legendre:4")
+        pair = generate_iid(LOGISTIC, UNIFORM11, 1000, seed=1)
+        k = fit_edmd(pair, dic)
+        with pytest.raises(ValueError, match="not the fit's dictionary"):
+            theorem1_residual(k, pair, parse_dictionary("monomial:4"))
+        assert theorem1_residual(k, pair, dic) <= 1e-13
+
     @pytest.mark.parametrize("system_spec, spec, fit", [
         ("logistic", "legendre:8", "analytic"),
         ("logistic", "monomial:10", "analytic"),
@@ -308,6 +317,13 @@ class TestMatrixDtype:
             KoopmanMatrix(np.ones(shape), parse_dictionary("legendre:2"),
                           "analytic:order=0", 1.0, 1.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)], ids=str)
+    def test_a_must_be_finite(self, value):
+        a = np.eye(3, dtype=complex)
+        a[1, 2] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            KoopmanMatrix(a, parse_dictionary("legendre:2"), "analytic:order=0", 1.0, 1.0)
+
 
 class TestCsv:
     def test_round_trip_bitexact(self):
@@ -340,6 +356,16 @@ class TestCsv:
         assert text.count(",legendre:1,") == 1
         with pytest.raises(ValueError, match="9 x 9"):
             read_koopman_csv(io.StringIO(text.replace(",legendre:1,", ",legendre:8,")))
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_reader_rejects_a_non_finite_cell(self, cell):
+        pair = generate_iid(LOGISTIC, UNIFORM11, 20, seed=6)
+        buf = io.StringIO()
+        write_koopman_csv(fit_edmd(pair, parse_dictionary("legendre:1")), buf)
+        lines = buf.getvalue().splitlines(keepends=True)
+        lines[-1] = ",".join([cell, *lines[-1].split(",")[1:]])
+        with pytest.raises(ValueError, match="non-finite"):
+            read_koopman_csv(io.StringIO("".join(lines)))
 
     def test_round_trip_complex_fourier(self):
         system = parse_system("rotation:omega=0.3")

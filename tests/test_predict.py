@@ -110,6 +110,18 @@ class TestPredict:
         with pytest.raises(NonFiniteError, match=r"A\^4 psi"):
             predict(k, coordinate_observable(dic, UNIFORM11), [0.3], 5, dic, LOGISTIC)
 
+    def test_foreign_dictionary_raises(self):
+        # monomial:4 has the fit's size, so only the check tells it apart: it
+        # would predict psi_1 with step errors 0.336 and 0.505
+        dic = parse_dictionary("legendre:4")
+        k = fit_analytic(LOGISTIC, dic, UNIFORM11)
+        c = np.eye(dic.size)[1]
+        with pytest.raises(ValueError, match="not the fit's dictionary"):
+            predict(k, c, [0.3], 2, parse_dictionary("monomial:4"), LOGISTIC)
+        with pytest.raises(ValueError, match="not the fit's dictionary"):
+            predict(k, c, [0.3], 0, parse_dictionary("legendre:4", box(-1.0, 2.0)), LOGISTIC)
+        assert np.max(predict(k, c, [0.3], 2, dic, LOGISTIC).errors) <= 1e-14
+
 
 class TestL2Error:
     def test_invariant_subspace_all_steps_tiny(self):
@@ -126,6 +138,13 @@ class TestL2Error:
         errs = l2_error(k, coordinate_observable(dic, UNIFORM11), dic, LOGISTIC,
                         gauss_rule(UNIFORM11, 32), 0)
         assert errs.shape == (0,)
+
+    def test_foreign_dictionary_raises(self):
+        dic = parse_dictionary("legendre:4")
+        k = fit_analytic(LOGISTIC, dic, UNIFORM11)
+        c = coordinate_observable(dic, UNIFORM11)
+        with pytest.raises(ValueError, match="not the fit's dictionary"):
+            l2_error(k, c, parse_dictionary("monomial:4"), LOGISTIC, gauss_rule(UNIFORM11, 32), 3)
 
     def test_quadrature_and_monte_carlo_agree(self):
         # two independent integration paths act as mutual oracles; steps with

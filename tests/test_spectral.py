@@ -7,6 +7,7 @@ import pytest
 
 from edmdkit import (
     Eigenmeasure,
+    EigensolverError,
     KoopmanMatrix,
     RankDeficiencyError,
     box,
@@ -98,6 +99,15 @@ class TestEig:
         e = np.random.default_rng(seed).standard_normal(k.A.shape)
         moved = eig(dataclasses.replace(k, A=k.A + 1e-15 * e)).eigenvalues
         assert np.max(np.abs(moved - eig(k).eigenvalues)) <= 1e-12
+
+    def test_non_convergence_is_eigensolver_error(self, monkeypatch):
+        def no_convergence(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eig", no_convergence)
+        with pytest.raises(EigensolverError, match="did not converge") as info:
+            eig(rotation_fit(0.4)[2])
+        assert np.isfinite(info.value.condition) and info.value.condition >= 1.0
 
     def test_repeated_calls_bit_identical(self):
         k = fit_analytic(LOGISTIC, parse_dictionary("legendre:8"), UNIFORM11)

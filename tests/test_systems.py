@@ -236,6 +236,18 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_system("rotation:om=1")
 
+    @pytest.mark.parametrize("spec", [
+        "logistic:r=3.9", "identity:3", "identity:a=1", "rotation:omega=1,omega=2",
+        "rotation:omega", "rotation:omega=abc", "rotation:", "affine:a=1",
+        "affine:a=1,b=2,c=3", "affine:a=1,b=2,a=1", "affine:a=1,,b=2",
+    ])
+    def test_every_system_takes_exactly_its_parameters(self, spec):
+        with pytest.raises(ConfigError):
+            parse_system(spec)
+
+    def test_parameters_in_any_order(self):
+        assert parse_system("affine:b=0.5,a=2").name == parse_system("affine:a=2,b=0.5").name
+
     def test_unknown_measure(self):
         with pytest.raises(ConfigError):
             parse_measure("cauchy:0,1")
