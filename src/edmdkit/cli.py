@@ -453,9 +453,11 @@ def validate_config(args) -> list:
 
 
 def _cmd_validate(args):
-    for line in validate_config(args):
+    diags = validate_config(args)
+    for line in diags:
         print(line)
-    return 0
+    # warnings alone leave the configuration runnable
+    return 1 if any(line.startswith("error:") for line in diags) else 0
 
 
 def main(argv=None) -> int:

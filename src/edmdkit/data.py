@@ -9,7 +9,7 @@ from itertools import islice
 import numpy as np
 
 from . import systems
-from ._table import float_rows, read_table, write_table
+from ._table import float_rows, read_table, write_floats, write_table
 from .dictionary import Dictionary, _reduce, evaluate_batch
 from .systems import DynamicalSystem, Measure, as_state
 
@@ -96,12 +96,12 @@ _SNAPSHOT_COLUMNS = ("d", "M", "provenance")
 
 def write_snapshots_csv(pair: SnapshotPair, f: io.TextIOBase):
     d, m = pair.X.shape
-    write_table(f, _SNAPSHOT_COLUMNS,
-                [[d, m, pair.provenance], *np.vstack([pair.X, pair.Y]).T.tolist()])
+    write_table(f, _SNAPSHOT_COLUMNS, [[d, m, pair.provenance]])
+    write_floats(f, np.vstack([pair.X, pair.Y]).T)
 
 
 def read_snapshots_csv(f: io.TextIOBase) -> SnapshotPair:
-    meta, *body = read_table(f, _SNAPSHOT_COLUMNS)
+    meta, body = read_table(f, _SNAPSHOT_COLUMNS)
     d, m = int(meta[0]), int(meta[1])
     xy = float_rows(body, (m, 2 * d), "snapshot table").T
     return SnapshotPair(xy[:d].copy(), xy[d:].copy(), meta[2])

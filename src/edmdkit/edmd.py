@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._table import float_rows, read_table, write_table
+from ._table import float_rows, read_table, write_floats, write_table
 from .data import SnapshotPair, _reduction
 from .dictionary import Dictionary, _solve, parse_dictionary
 from .errors import ConfigError
@@ -166,11 +166,12 @@ def write_koopman_csv(k: KoopmanMatrix, f: io.TextIOBase):
     a metadata row, then row i of A as N re,im pairs."""
     meta = [k.size, k.provenance, k.dictionary.spec_string,
             _domain_label(k.dictionary.domain), k.sigma_max, k.sigma_min]
-    write_table(f, _KOOPMAN_COLUMNS, [meta, *np.asarray(k.A, dtype=complex).tolist()])
+    write_table(f, _KOOPMAN_COLUMNS, [meta])
+    write_floats(f, k.A.astype(complex).view(float))
 
 
 def read_koopman_csv(f: io.TextIOBase) -> KoopmanMatrix:
-    (n_s, provenance, dict_spec, dom_label, smax, smin), *body = read_table(f, _KOOPMAN_COLUMNS)
+    (n_s, provenance, dict_spec, dom_label, smax, smin), body = read_table(f, _KOOPMAN_COLUMNS)
     n = int(n_s)
     dic = parse_dictionary(dict_spec, _parse_domain_label(dom_label))
     # viewing re,im pairs as complex keeps every bit, signed zeros included

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import systems
-from ._table import float_rows, read_table, write_table
+from ._table import float_blocks, read_table, write_floats, write_table
 from .dictionary import derivative_batch, evaluate_batch
 from .edmd import KoopmanMatrix
 from .errors import EigensolverError, check_rank
@@ -225,12 +225,15 @@ _SPECTRUM_COLUMNS = ("re", "im", "residual")
 
 def write_spectrum_csv(decomp: SpectralDecomp, f: io.TextIOBase):
     eigenvalues = np.asarray(decomp.eigenvalues, dtype=complex)
-    write_table(f, _SPECTRUM_COLUMNS, zip(eigenvalues.tolist(), decomp.residuals.tolist()))
+    write_table(f, _SPECTRUM_COLUMNS, [])
+    write_floats(f, np.column_stack([eigenvalues.real, eigenvalues.imag, decomp.residuals]))
 
 
 def read_spectrum_csv(f: io.TextIOBase) -> np.ndarray:
-    rows = read_table(f, _SPECTRUM_COLUMNS)
-    re_im = float_rows(rows, (len(rows), 3), "spectrum table")[:, :2]
+    first, rest = read_table(f, _SPECTRUM_COLUMNS)
+    rows = np.concatenate([np.array([first], dtype=float),
+                           *float_blocks(rest, 3, "spectrum table")])
+    re_im = rows[:, :2]
     # viewing re,im pairs as complex keeps every bit, signed zeros included
     return np.ascontiguousarray(re_im).view(complex)[:, 0]
 
@@ -238,5 +241,5 @@ def read_spectrum_csv(f: io.TextIOBase) -> np.ndarray:
 def write_eigenmeasure_csv(nu: Eigenmeasure, f: io.TextIOBase):
     columns = [f"x_{i + 1}" for i in range(nu.atoms.shape[0])] + ["re_weight", "im_weight"]
     weights = np.asarray(nu.weights, dtype=complex)
-    rows = [[*x, w] for x, w in zip(nu.atoms.T.tolist(), weights.tolist())]
-    write_table(f, columns, rows)
+    write_table(f, columns, [])
+    write_floats(f, np.column_stack([nu.atoms.T, weights.real, weights.imag]))

@@ -7,7 +7,9 @@ Gauss-Legendre rules from Newton steps on the three-term recurrence, least
 squares from the SVD of the wide psi(X) or the eigendecomposition of G
 instead of the QR of [psi(X)^H | psi(Y)^H].  The one LAPACK _geev path here,
 ``complex_eig``, is the complex eigensolve that real Koopman matrices no
-longer take, kept as the reference for the real one.
+longer take, kept as the reference for the real one.  Numeric CSV bodies
+come from ``per_row_lines``, one ``float.__repr__`` join per row, instead of
+the block formatting of ``_table.write_floats``.
 """
 
 import math
@@ -191,3 +193,9 @@ def complex_eig(a, tie=1e-12):
     order = by_mag[np.lexsort((np.angle(lam[by_mag]), tier))]
     lam, w = lam[order], w[:, order]
     return lam, w, np.linalg.norm(a.conj().T @ w - w * np.conj(lam), axis=0)
+
+
+def per_row_lines(rows):
+    """A numeric table body written one row at a time: each row of Python
+    floats joined from ``float.__repr__`` cells, one line per row."""
+    return "".join(",".join(map(float.__repr__, row)) + "\n" for row in rows)

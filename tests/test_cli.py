@@ -287,13 +287,13 @@ class TestValidate:
 
     def test_unknown_identifier_reported(self, tmp_path, capsys):
         code = run(tmp_path, "validate", "--system", "henon")
-        assert code == 0
+        assert code == 1
         assert "error" in capsys.readouterr().out
 
     def test_each_unknown_identifier_is_one_error_line(self, tmp_path, capsys):
         code = run(tmp_path, "validate", "--system", "logistic", "--dict", "chebyshev:3",
                    "--measure", "beta:1,2")
-        assert code == 0
+        assert code == 1
         errors = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("error:")]
         assert errors == ["error: unknown dictionary 'chebyshev:3'",
                           "error: unknown measure 'beta:1,2'"]
