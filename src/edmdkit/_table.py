@@ -7,19 +7,21 @@ table back gives the same bits; a complex value fills two cells, ``re,im``;
 anywhere in the file, which is where the CLI puts its configuration header.
 
 Numeric bodies (snapshots, Koopman matrices, spectra, eigenmeasures) are float
-arrays written by :func:`write_floats` and read by :func:`float_blocks`, both
-``_ROWS`` rows at a time, so a table is never held as one Python string per
-cell: besides the array itself, reading or writing holds one block of text
-and cells, a few hundred kB for the two-column snapshot table.
+arrays.  :func:`write_floats` writes them ``_ROWS`` rows at a time and
+:func:`float_rows` reads them with numpy's streaming C ``loadtxt``, so a table
+is never held as one Python string per cell.  A body cell is one float in the
+spelling ``loadtxt`` converts: decimal or exponent notation in ASCII digits,
+``inf``, ``-inf`` or ``nan``; no digit separators ``_``, no other digits and
+no trailing comment.
 """
 
 from __future__ import annotations
 
-from itertools import islice, repeat
+from itertools import chain
 
 import numpy as np
 
-_ROWS = 4096  # rows of a numeric body formatted or parsed at once
+_ROWS = 4096  # rows of a numeric body formatted at once
 
 
 def _cell(value) -> str:
@@ -60,11 +62,10 @@ def read_table(f, columns):
     """Check the header against ``columns``; return the first row and the rest.
 
     The first row comes back as string cells; the rest is a lazy iterator over
-    the remaining stripped lines, for :func:`float_rows` or
-    :func:`float_blocks`.  The header names the fields of the first row; the
-    Koopman and snapshot tables follow that row with body rows of their own
-    width.  Raises ValueError on a wrong header, on a table without rows and on
-    a first row of the wrong width.
+    the remaining stripped lines, for :func:`float_rows`.  The header names the
+    fields of the first row; the Koopman and snapshot tables follow that row
+    with body rows of their own width.  Raises ValueError on a wrong header,
+    on a table without rows and on a first row of the wrong width.
     """
     lines = (s for s in map(str.strip, f) if s and not s.startswith("#"))
     header = next(lines, "")
@@ -79,38 +80,21 @@ def read_table(f, columns):
     return first, lines
 
 
-def float_blocks(lines, width, what):
-    """Parse lines of ``width`` cells into float arrays of up to ``_ROWS`` rows.
-
-    Raises ValueError on a row of the wrong field count and on a cell that is
-    not a float.
-    """
-    done = 0
-    while block := list(islice(lines, _ROWS)):
-        if set(map(str.count, block, repeat(","))) != {width - 1}:
-            i = next(i for i, s in enumerate(block) if s.count(",") != width - 1)
-            raise ValueError(f"{what} row {done + i} has {block[i].count(',') + 1} fields, "
-                             f"expected {width}")
-        yield np.array(",".join(block).split(","), dtype=float).reshape(-1, width)
-        done += len(block)
-
-
 def float_rows(lines, shape, what) -> np.ndarray:
-    """Parse lines into a float array of exactly ``shape``, a block at a time.
+    """Parse lines of float cells into an array of ``shape``.
 
-    Raises ValueError on a missing or extra row and on a wrong field count.
+    A ``None`` row count in ``shape`` takes every row there is.  Raises
+    ValueError on a wrong row or field count and on a cell that is not a float.
     """
     count, width = shape
+    # an empty body never reaches loadtxt, which warns on input without data
+    first = next(lines, None)
     try:
-        out = np.empty(shape)
-    except MemoryError as exc:  # a row count no body could back
-        raise ValueError(f"{what} claims {count} rows, more than memory holds") from exc
-    done = 0
-    for block in float_blocks(lines, width, what):
-        if done + len(block) > count:
-            raise ValueError(f"{what} has more than {count} rows")
-        out[done:done + len(block)] = block
-        done += len(block)
-    if done != count:
-        raise ValueError(f"{what} has {done} rows, expected {count}")
+        out = (np.empty((0, width)) if first is None else
+               np.loadtxt(chain([first], lines), delimiter=",", comments=None, ndmin=2))
+    except ValueError as exc:
+        raise ValueError(f"{what}: {exc}") from None
+    expected = (len(out) if count is None else count, width)
+    if out.shape != expected:
+        raise ValueError(f"{what} has shape {out.shape}, expected {expected}")
     return out

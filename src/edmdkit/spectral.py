@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from . import systems
-from ._table import float_blocks, read_table, write_floats, write_table
+from ._table import float_rows, read_table, write_floats, write_table
 from .dictionary import derivative_batch, evaluate_batch
 from .edmd import KoopmanMatrix
 from .errors import EigensolverError, check_rank
@@ -231,8 +232,7 @@ def write_spectrum_csv(decomp: SpectralDecomp, f: io.TextIOBase):
 
 def read_spectrum_csv(f: io.TextIOBase) -> np.ndarray:
     first, rest = read_table(f, _SPECTRUM_COLUMNS)
-    rows = np.concatenate([np.array([first], dtype=float),
-                           *float_blocks(rest, 3, "spectrum table")])
+    rows = float_rows(chain([",".join(first)], rest), (None, 3), "spectrum table")
     re_im = rows[:, :2]
     # viewing re,im pairs as complex keeps every bit, signed zeros included
     return np.ascontiguousarray(re_im).view(complex)[:, 0]

@@ -1,5 +1,7 @@
 import io
 import tracemalloc
+import warnings
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from edmdkit import (
     write_snapshots_csv,
     write_spectrum_csv,
 )
-from edmdkit._table import _ROWS, float_blocks, read_table, write_table
+from edmdkit._table import _ROWS, float_rows, read_table, write_table
 
 
 def test_write_table_exact_bytes():
@@ -116,16 +118,43 @@ def test_reader_skips_comments_and_blank_lines_anywhere(name):
     assert _read(name, sprinkle) == _read(name)
 
 
+def _last_cell_is(cell):
+    return lambda lines: [*lines[:-1], lines[-1].rsplit(",", 1)[0] + f",{cell}\n"]
+
+
 @pytest.mark.parametrize("edit", [
     lambda lines: ["wrong,header\n", *lines[1:]],
     lambda lines: [*lines[:-1], lines[-1].rstrip("\n") + ",0.5\n"],
     lambda lines: lines[:-1],
     lambda lines: lines[:1],
-], ids=["wrong-header", "wrong-field-count", "missing-row", "header-only"])
+    # float() takes the first two spellings; a body cell is a float as loadtxt
+    # spells it, and a comment fills a whole line
+    *(_last_cell_is(cell) for cell in ["1_0", "\u0661", "0.25 # note"]),
+], ids=["wrong-header", "wrong-field-count", "missing-row", "header-only",
+        "digit-separator", "arabic-indic-digit", "trailing-comment"])
 @pytest.mark.parametrize("name", READERS)
 def test_reader_rejects_malformed_tables(name, edit):
     with pytest.raises(ValueError):
         _read(name, edit)
+
+
+@pytest.mark.parametrize("name, metadata_only", [
+    ("snapshots", lambda lines: ["d,M,provenance\n", "1,3,iid:seed=0;M=3\n"]),
+    ("koopman", lambda lines: lines[:2]),
+])
+def test_empty_body_is_a_value_error_without_warning(name, metadata_only):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError):
+            _read(name, metadata_only)
+    assert not caught, [str(w.message) for w in caught]
+
+
+def test_snapshot_inf_and_nan_round_trip():
+    pair = SnapshotPair(np.array([[np.inf, -np.inf, np.nan]]),
+                        np.array([[np.nan, np.inf, -np.inf]]), "iid:seed=0;M=3")
+    back = read_snapshots_csv(io.StringIO(_written(write_snapshots_csv, pair)))
+    assert back.X.tobytes() == pair.X.tobytes() and back.Y.tobytes() == pair.Y.tobytes()
 
 
 def _written(writer, obj):
@@ -180,7 +209,7 @@ def test_eigenmeasure_blocks_match_per_row_writer():
     assert text == ",".join(columns) + "\n" + per_row_lines(rows)
     # the library reads no eigenmeasure table; the table helpers still give its bits
     first, rest = read_table(io.StringIO(text), columns)
-    back = np.concatenate([np.array([first], dtype=float), *float_blocks(rest, 4, "nu")])
+    back = float_rows(chain([",".join(first)], rest), (None, 4), "nu")
     assert back[:, :2].T.tobytes() == nu.atoms.tobytes()
     assert np.ascontiguousarray(back[:, 2:]).view(complex)[:, 0].tobytes() == nu.weights.tobytes()
 
