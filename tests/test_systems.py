@@ -135,11 +135,10 @@ class TestGaussRule:
             val = np.sum(rule.weights * np.exp(1j * m * rule.nodes[0]))
             assert abs(val) <= 1e-14
 
-    def test_tensorized_2d(self):
-        rule = gauss_rule(uniform(box([-1.0, 0.0], [1.0, 2.0])), 4)
-        assert rule.nodes.shape == (2, 16)
-        val = float(np.sum(rule.weights * rule.nodes[0] ** 2 * rule.nodes[1]))
-        assert val == pytest.approx((1.0 / 3.0) * 1.0, abs=1e-13)
+    def test_two_dimensional_measure_is_value_error(self):
+        # no dictionary accepts d > 1, so there is no tensor-product rule
+        with pytest.raises(ValueError, match="1-D measure"):
+            gauss_rule(uniform(box([-1.0, 0.0], [1.0, 2.0])), 4)
 
 
     @pytest.mark.parametrize("order", [371, 400])
@@ -153,10 +152,11 @@ SMALL_ORDERS = [1, 2, 3, 20, 21, 22, 64, 127, 128]
 
 
 class TestLegendreNodes:
-    """The one O(order) generator, at every order, against Newton on the
+    """The one O(order) generator, at every order and on both sides of its
+    asymptotic threshold (255 and 256 nodes), against Newton on the
     three-term recurrence and against numpy's eigensolver."""
 
-    @pytest.mark.parametrize("order", [*SMALL_ORDERS, 129, 256, 257, 1000, 4096])
+    @pytest.mark.parametrize("order", [*SMALL_ORDERS, 129, 255, 256, 257, 1000, 2048, 4096])
     def test_matches_recurrence(self, order):
         x, w = _leggauss(order)
         x_ref, w_ref = leggauss_recurrence(order)
@@ -171,7 +171,7 @@ class TestLegendreNodes:
         assert float(np.max(np.abs(x - x_ref))) <= 1e-14
         assert float(np.max(np.abs(w - w_ref))) <= 1e-14
 
-    @pytest.mark.parametrize("order", [1, 2, 21, 128, 129, 256, 257, 1000, 4097, 16384])
+    @pytest.mark.parametrize("order", [1, 2, 21, 128, 129, 255, 256, 257, 1000, 4097, 16384])
     def test_symmetric_ascending_positive(self, order):
         x, w = _leggauss(order)
         assert np.array_equal(x, -x[::-1])
@@ -187,6 +187,22 @@ class TestLegendreNodes:
         assert abs(float(np.sum(w)) - 2.0) <= 1e-14
         for k in range(41):
             assert abs(float(np.sum(w * x**k)) - 2.0 * uniform_moment(k)) <= 1e-14
+
+    def test_one_newton_step_from_the_threshold(self, monkeypatch):
+        # below 256 nodes three interior steps and direct phases; from 256 on
+        # one step plus the weights' evaluation, with rotated phases
+        import edmdkit.systems
+
+        original, calls = edmdkit.systems._stieltjes, []
+
+        def counted(theta, n, rotate):
+            calls.append((n, rotate))
+            return original(theta, n, rotate)
+
+        monkeypatch.setattr(edmdkit.systems, "_stieltjes", counted)
+        _leggauss.__wrapped__(255)
+        _leggauss.__wrapped__(256)
+        assert calls == [(255, False)] * 4 + [(256, True)] * 2
 
     @pytest.mark.parametrize("order", [64, 256])
     def test_cached_arrays_are_read_only(self, order):
