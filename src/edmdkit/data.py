@@ -16,7 +16,7 @@ from .systems import DynamicalSystem, Measure, as_state
 
 @dataclass(frozen=True)
 class SnapshotPair:
-    """Data matrices X, Y of shape (d, M) with y_j = T(x_j) columnwise.
+    """Data matrices X, Y of shape (1, M) with y_j = T(x_j) columnwise.
 
     X and Y are made read-only on construction, so the one slot holding the
     pair's least-squares reduction (:func:`_reduction`) can never go stale.
@@ -28,8 +28,9 @@ class SnapshotPair:
     _r: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.X.ndim != 2 or self.X.shape != self.Y.shape or self.X.shape[1] < 1:
-            raise ValueError(f"X and Y must be (d, M) arrays of one shape with M >= 1, "
+        shape = self.X.shape
+        if len(shape) != 2 or shape != self.Y.shape or shape[0] != 1 or shape[1] < 1:
+            raise ValueError(f"X and Y must be (1, M) arrays of one shape with M >= 1, "
                              f"got {self.X.shape} and {self.Y.shape}")
         self.X.setflags(write=False)
         self.Y.setflags(write=False)
@@ -63,8 +64,6 @@ def generate_iid(system: DynamicalSystem, measure: Measure, count: int, seed: in
     raises the map's NonFiniteError.
     """
     X = systems.sample(measure, count, seed)
-    if X.shape[0] != system.dimension:
-        raise ValueError("measure dimension does not match system dimension")
     Y = systems.apply_batch(system, X)
     return SnapshotPair(X, Y, f"iid:seed={seed};M={count}")
 
@@ -79,13 +78,11 @@ def generate_trajectory(system: DynamicalSystem, x0, count: int) -> SnapshotPair
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    x = as_state(x0, system.dimension)[:, None]
+    x = as_state(x0)[:, None]
     orbit = islice(systems._orbit(system, x), count)
     seq = np.concatenate([x, *(image for image, _ in orbit)], axis=1)
-    x0_label = ";".join(repr(float(v)) for v in x[:, 0])
-    return SnapshotPair(
-        seq[:, :-1].copy(), seq[:, 1:].copy(), f"trajectory:x0={x0_label};M={count}"
-    )
+    return SnapshotPair(seq[:, :-1].copy(), seq[:, 1:].copy(),
+                        f"trajectory:x0={float(x[0, 0])!r};M={count}")
 
 
 # ---------------------------------------------------------------------------

@@ -44,8 +44,6 @@ class Dictionary:
     def __post_init__(self):
         if self.family not in _DEFAULT_DOMAINS:
             raise ValueError(f"unknown family {self.family!r}")
-        if self.domain.dimension != 1:
-            raise ValueError("shipped dictionary families are one-dimensional")
         if self.family == "sine" and self.param < 1:
             raise ValueError("sine mode must be >= 1")
         if self.param < 0:
@@ -126,7 +124,7 @@ def _legendre(max_deg, t, want_deriv):
 
 def _eval(dic: Dictionary, x, want_deriv):
     if dic.family == "legendre":
-        lo, hi = dic.domain.lower[0], dic.domain.upper[0]
+        lo, hi = dic.domain.lower, dic.domain.upper
         # affine map to the reference interval; orthonormal scale sqrt(2k+1)
         t = (2.0 * x - lo - hi) / (hi - lo)
         P, D = _legendre(dic.param, t, want_deriv)
@@ -164,8 +162,7 @@ def evaluate_batch(dic: Dictionary, points) -> np.ndarray:
     point list yields an (N, 0) matrix.  A non-finite value raises
     NonFiniteError.
     """
-    pts = as_points(points, 1)
-    vals, _ = _eval(dic, pts[0], want_deriv=False)
+    vals, _ = _eval(dic, as_points(points)[0], want_deriv=False)
     if not np.all(np.isfinite(vals)):
         raise NonFiniteError(f"{dic.spec_string}: dictionary evaluation produced "
                              "non-finite values")
@@ -174,19 +171,18 @@ def evaluate_batch(dic: Dictionary, points) -> np.ndarray:
 
 def evaluate(dic: Dictionary, x) -> np.ndarray:
     """Dictionary values at a single state, as a length-N vector."""
-    return evaluate_batch(dic, as_state(x, 1)[:, None])[:, 0]
+    return evaluate_batch(dic, as_state(x)[:, None])[:, 0]
 
 
 def derivative_batch(dic: Dictionary, points) -> np.ndarray:
-    """Gradients at each state: (N, d, M) with d = 1 for the shipped families."""
-    pts = as_points(points, 1)
-    _, der = _eval(dic, pts[0], want_deriv=True)
+    """Gradients at each state: (N, 1, M)."""
+    _, der = _eval(dic, as_points(points)[0], want_deriv=True)
     return der[:, None, :]
 
 
 def derivative(dic: Dictionary, x) -> np.ndarray:
-    """Gradient rows at a single state: (N, d)."""
-    return derivative_batch(dic, as_state(x, 1)[:, None])[:, :, 0]
+    """Gradient rows at a single state: (N, 1)."""
+    return derivative_batch(dic, as_state(x)[:, None])[:, :, 0]
 
 
 def gram(dic: Dictionary, rule: QuadratureRule) -> np.ndarray:

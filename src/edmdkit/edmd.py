@@ -145,17 +145,17 @@ def residual_scale(snapshots: SnapshotPair, dic: Dictionary) -> float:
 def _domain_label(dom: Domain) -> str:
     if dom.kind == "circle":
         return "circle"
-    return "box:" + ";".join(repr(float(v)) for pair in zip(dom.lower, dom.upper) for v in pair)
+    return f"box:{float(dom.lower)!r};{float(dom.upper)!r}"
 
 
 def _parse_domain_label(label: str) -> Domain:
     if label == "circle":
         return circle(1)
     kind, _, body = label.partition(":")
-    if kind != "box":
-        raise ValueError(f"unknown domain label {label!r}")
-    vals = [float(v) for v in body.split(";")]
-    return box(vals[0::2], vals[1::2])
+    bounds = body.split(";")
+    if kind != "box" or len(bounds) != 2:
+        raise ValueError(f"domain label must be 'circle' or 'box:<lo>;<hi>', got {label!r}")
+    return box(*map(float, bounds))
 
 
 _KOOPMAN_COLUMNS = ("N", "provenance", "dictionary", "domain", "sigma_max", "sigma_min")
@@ -173,7 +173,10 @@ def write_koopman_csv(k: KoopmanMatrix, f: io.TextIOBase):
 def read_koopman_csv(f: io.TextIOBase) -> KoopmanMatrix:
     (n_s, provenance, dict_spec, dom_label, smax, smin), body = read_table(f, _KOOPMAN_COLUMNS)
     n = int(n_s)
-    dic = parse_dictionary(dict_spec, _parse_domain_label(dom_label))
+    try:
+        dic = parse_dictionary(dict_spec, _parse_domain_label(dom_label))
+    except (ConfigError, ValueError) as exc:
+        raise ValueError(f"koopman table: {exc}") from exc
     # viewing re,im pairs as complex keeps every bit, signed zeros included
     a = float_rows(body, (n, 2 * n), "koopman matrix").view(complex)
     return KoopmanMatrix(a, dic, provenance, float(smax), float(smin))

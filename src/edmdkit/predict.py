@@ -61,7 +61,7 @@ def _rollout(k: KoopmanMatrix, cmat, dic: Dictionary, system: DynamicalSystem, p
     """
     _check_dictionary(k, dic)
     z = evaluate_batch(dic, points)
-    (d, m), n = points.shape, cmat.shape[0]
+    m, n = points.shape[1], cmat.shape[0]
     orbit = systems._orbit(system, points)
     block = max(1, _TRUTH_BLOCK // (dic.size * m))
     for start in range(0, horizon, block):
@@ -74,7 +74,7 @@ def _rollout(k: KoopmanMatrix, cmat, dic: Dictionary, system: DynamicalSystem, p
                 steps = j
                 break
             predicted[j] = cmat @ z
-        stacked, truth, done = np.empty((d, steps * m)), np.empty((n, steps * m), complex), 0
+        stacked, truth, done = np.empty((1, steps * m)), np.empty((n, steps * m), complex), 0
         for j, (image, escaped) in enumerate(islice(orbit, steps), 1):
             stacked[:, (j - 1) * m:j * m] = image
             if escaped or j == steps:
@@ -97,7 +97,7 @@ def predict(k: KoopmanMatrix, c, x0, horizon: int, dic: Dictionary,
     cmat = _as_observable_rows(c, dic.size)
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    x = as_state(x0, system.dimension)
+    x = as_state(x0)
     predicted = np.empty((horizon, cmat.shape[0]), dtype=complex)
     truth = np.empty_like(predicted)
     for i, (pred, true) in enumerate(_rollout(k, cmat, dic, system, x[:, None], horizon)):

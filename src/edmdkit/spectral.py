@@ -129,10 +129,14 @@ class Eigenmeasure:
     trajectory points.  ``tail_value`` is phi(T x_N), the one off-sample value
     the trajectory-shift identities need."""
 
-    atoms: np.ndarray      # (d, N)
+    atoms: np.ndarray      # (1, N)
     weights: np.ndarray    # (N,) complex
     eigenvalue: complex
     tail_value: complex
+
+    def __post_init__(self):
+        if self.atoms.shape != (1, self.count):
+            raise ValueError(f"atoms must be (1, {self.count}), got {self.atoms.shape}")
 
     @property
     def count(self):
@@ -187,7 +191,7 @@ _ZERO_EIGENVALUE = 1e-12
 def pf_check(nu: Eigenmeasure, system: DynamicalSystem, test_fns) -> list[PFResidual]:
     """Check the sample-identity and Perron-Frobenius defect against test functions.
 
-    Each ``h`` in ``test_fns`` is a callable on a (d, M) point array returning
+    Each ``h`` in ``test_fns`` is a callable on a (1, M) point array returning
     M values.  Per function this reports
 
     * r1 = |(1/N) sum h(x_i) phi(x_{i+1}) - lambda (1/N) sum h(x_i) phi(x_i)|,
@@ -239,7 +243,6 @@ def read_spectrum_csv(f: io.TextIOBase) -> np.ndarray:
 
 
 def write_eigenmeasure_csv(nu: Eigenmeasure, f: io.TextIOBase):
-    columns = [f"x_{i + 1}" for i in range(nu.atoms.shape[0])] + ["re_weight", "im_weight"]
     weights = np.asarray(nu.weights, dtype=complex)
-    write_table(f, columns, [])
-    write_floats(f, np.column_stack([nu.atoms.T, weights.real, weights.imag]))
+    write_table(f, ("x_1", "re_weight", "im_weight"), [])
+    write_floats(f, np.column_stack([nu.atoms[0], weights.real, weights.imag]))

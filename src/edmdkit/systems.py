@@ -1,9 +1,11 @@
 """Dynamical systems, reference measures, and quadrature rules.
 
-States are 1-D numpy arrays of length ``d``; collections of states are
-``(d, M)`` arrays with one state per column.  All objects here are frozen
-dataclasses and every operation is a pure function of its inputs, so values
-can be shared freely across threads.
+The state space is one axis: every domain is an interval or the circle, and
+every measure lives on one of them or on the real line, so no domain or
+measure of more than one axis can be built.  A state is a length-1 numpy
+array; a collection of states is a ``(1, M)`` array with one state per
+column.  All objects here are frozen dataclasses and every operation is a
+pure function of its inputs, so values can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -22,38 +24,39 @@ TWO_PI = 2.0 * math.pi
 _CONTAINS_TOL = 1e-9  # box-bound slack before a point counts as escaped
 
 
+def _scalar(value, what) -> float:
+    """``value``, a number or a sequence of one number, as a float."""
+    v = np.atleast_1d(np.asarray(value, dtype=float))
+    if v.shape != (1,):
+        raise ValueError(f"{what} must be one number, got shape {v.shape}")
+    return float(v[0])
+
+
 @dataclass(frozen=True)
 class Domain:
-    """State-space domain: an axis-aligned box or a periodic circle.
+    """State-space domain: an interval (box) or the periodic circle.
 
-    Circle axes have period 2*pi; bounds are fixed to [0, 2*pi).
+    Circle bounds are fixed to [0, 2*pi), its period.
     """
 
     kind: str  # "box" | "circle"
-    lower: tuple
-    upper: tuple
+    lower: float
+    upper: float
 
     def __post_init__(self):
         if self.kind not in ("box", "circle"):
             raise ValueError(f"unknown domain kind {self.kind!r}")
-        if len(self.lower) != len(self.upper):
-            raise ValueError("lower/upper length mismatch")
-        for lo, hi in zip(self.lower, self.upper):
-            if not lo < hi:
-                raise ValueError(f"domain requires lower < upper, got [{lo}, {hi}]")
-
-    @property
-    def dimension(self):
-        return len(self.lower)
+        # a finite width also keeps rng.uniform and the Gauss rule's scale finite
+        if not (self.lower < self.upper and math.isfinite(self.upper - self.lower)):
+            raise ValueError(f"domain requires lower < upper with a finite width, "
+                             f"got [{self.lower}, {self.upper}]")
 
     def contains(self, points):
-        """Boolean mask over columns of ``points``; circle axes always match."""
-        pts = as_points(points, self.dimension)
+        """Boolean mask over columns of ``points``; the circle always matches."""
+        x = as_points(points)[0]
         if self.kind == "circle":
-            return np.ones(pts.shape[1], dtype=bool)
-        lo = np.asarray(self.lower)[:, None]
-        hi = np.asarray(self.upper)[:, None]
-        return np.all((pts >= lo - _CONTAINS_TOL) & (pts <= hi + _CONTAINS_TOL), axis=0)
+            return np.ones(x.shape, dtype=bool)
+        return (x >= self.lower - _CONTAINS_TOL) & (x <= self.upper + _CONTAINS_TOL)
 
     def wrap(self, points):
         """Reduce circle coordinates mod 2*pi; boxes pass through unchanged."""
@@ -63,24 +66,24 @@ class Domain:
 
 
 def box(lower, upper) -> Domain:
-    lo = np.atleast_1d(np.asarray(lower, dtype=float))
-    hi = np.atleast_1d(np.asarray(upper, dtype=float))
-    return Domain("box", tuple(float(v) for v in lo), tuple(float(v) for v in hi))
+    return Domain("box", _scalar(lower, "box lower bound"), _scalar(upper, "box upper bound"))
 
 
 def circle(dimension=1) -> Domain:
-    return Domain("circle", (0.0,) * dimension, (TWO_PI,) * dimension)
+    if dimension != 1:
+        raise ValueError(f"the circle has one axis, got dimension {dimension}")
+    return Domain("circle", 0.0, TWO_PI)
 
 
 @dataclass(frozen=True)
 class DynamicalSystem:
     """Discrete-time map x+ = T(x) on a domain.
 
-    ``forward_batch`` acts on a ``(d, M)`` array of states, one per column.
-    ``forward`` acts on a single state (1-D array) and is used only when
+    ``forward_batch`` acts on a ``(1, M)`` array of states, one per column.
+    ``forward`` acts on a single state (length-1 array) and is used only when
     ``forward_batch`` is None, column by column.  ``polynomial_degree`` is the
-    per-axis polynomial degree of T when T is polynomial; it drives exact
-    quadrature order selection.
+    polynomial degree of T when T is polynomial; it drives exact quadrature
+    order selection.
     """
 
     name: str
@@ -89,38 +92,28 @@ class DynamicalSystem:
     forward_batch: Callable | None = None
     polynomial_degree: int | None = None
 
-    @property
-    def dimension(self):
-        return self.domain.dimension
 
-
-def as_state(x, dimension=None):
-    """Coerce ``x`` to a finite 1-D state vector, checking the dimension."""
-    s = np.atleast_1d(np.asarray(x, dtype=float))
-    if s.ndim != 1:
-        raise ValueError(f"state must be 1-D, got shape {s.shape}")
-    if dimension is not None and s.size != dimension:
-        raise ValueError(f"state has dimension {s.size}, expected {dimension}")
-    if not np.all(np.isfinite(s)):
+def as_state(x):
+    """Coerce ``x``, one finite number or a sequence of one, to a state vector."""
+    s = np.array([_scalar(x, "a state")])
+    if not np.isfinite(s[0]):
         raise ValueError("state has non-finite entries")
     return s
 
 
-def as_points(points, dimension=None):
-    """Coerce to a ``(d, M)`` array of column states."""
+def as_points(points):
+    """Coerce to a ``(1, M)`` array of column states; a 1-D array is one row."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[None, :]
-    if pts.ndim != 2:
-        raise ValueError(f"points must be (d, M), got shape {pts.shape}")
-    if dimension is not None and pts.shape[0] != dimension:
-        raise ValueError(f"points have dimension {pts.shape[0]}, expected {dimension}")
+    if pts.ndim != 2 or pts.shape[0] != 1:
+        raise ValueError(f"points must be (1, M), got shape {pts.shape}")
     return pts
 
 
 def apply(system: DynamicalSystem, x) -> np.ndarray:
     """One step of the map on one state: ``apply_batch`` on one column."""
-    return apply_batch(system, as_state(x, system.dimension)[:, None])[:, 0]
+    return apply_batch(system, as_state(x)[:, None])[:, 0]
 
 
 def apply_batch(system: DynamicalSystem, points) -> np.ndarray:
@@ -128,7 +121,7 @@ def apply_batch(system: DynamicalSystem, points) -> np.ndarray:
     outside the domain are reported by one DomainEscapeWarning, not an error,
     so long-horizon studies keep running; a non-finite image raises
     NonFiniteError."""
-    return _step(system, as_points(points, system.dimension))[0]
+    return _step(system, as_points(points))[0]
 
 
 def _escape_message(system: DynamicalSystem, escaped, count):
@@ -136,7 +129,7 @@ def _escape_message(system: DynamicalSystem, escaped, count):
 
 
 def _map(system: DynamicalSystem, pts):
-    """T on the columns of ``pts``, circle axes wrapped, and the number of
+    """T on the columns of ``pts``, circle images wrapped, and the number of
     images outside the domain (a non-finite image on a box among them); no
     report and no check.  numpy's overflow and invalid-value warnings are off:
     a non-finite image is the caller's to report."""
@@ -179,30 +172,24 @@ def _orbit(system: DynamicalSystem, points):
 @dataclass(frozen=True)
 class Measure:
     """Probability measure: uniform on a box/circle domain, or a Gaussian
-    with diagonal covariance on full space (domain None)."""
+    of finite mean and finite variance > 0 on the real line (domain None)."""
 
     kind: str  # "uniform" | "gaussian"
     domain: Domain | None = None
-    mean: tuple = ()
-    var: tuple = ()
+    mean: float | None = None
+    var: float | None = None
 
     def __post_init__(self):
         if self.kind == "uniform":
             if self.domain is None:
                 raise ValueError("uniform measure requires a domain")
         elif self.kind == "gaussian":
-            if len(self.mean) != len(self.var) or not self.mean:
-                raise ValueError("gaussian measure requires mean/var of equal length")
-            if any(v <= 0 for v in self.var):
-                raise ValueError("gaussian variances must be positive")
+            if self.mean is None or self.var is None or not (
+                    math.isfinite(self.mean) and math.isfinite(self.var) and self.var > 0):
+                raise ValueError("gaussian measure requires a finite mean and a finite "
+                                 f"variance > 0, got {self.mean} and {self.var}")
         else:
             raise ValueError(f"unknown measure kind {self.kind!r}")
-
-    @property
-    def dimension(self):
-        if self.kind == "uniform":
-            return self.domain.dimension
-        return len(self.mean)
 
 
 def uniform(domain: Domain) -> Measure:
@@ -210,35 +197,30 @@ def uniform(domain: Domain) -> Measure:
 
 
 def gaussian(mean, var) -> Measure:
-    m = np.atleast_1d(np.asarray(mean, dtype=float))
-    v = np.atleast_1d(np.asarray(var, dtype=float))
-    return Measure("gaussian", mean=tuple(m), var=tuple(v))
+    return Measure("gaussian", mean=_scalar(mean, "gaussian mean"),
+                   var=_scalar(var, "gaussian variance"))
 
 
 def sample(measure: Measure, count: int, seed: int) -> np.ndarray:
-    """Draw ``count`` iid states as a ``(d, count)`` array.
+    """Draw ``count`` iid states as a ``(1, count)`` array.
 
-    Uses numpy's seeded PCG64 generator (``default_rng``), drawing axis by
-    axis in a fixed order, so identical (measure, count, seed) triples produce
-    bit-identical output on any platform.
+    One draw from numpy's seeded PCG64 generator (``default_rng``), so
+    identical (measure, count, seed) triples produce bit-identical output on
+    any platform.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(seed)
-    d = measure.dimension
-    out = np.empty((d, count))
     if measure.kind == "uniform":
-        for i in range(d):
-            out[i] = rng.uniform(measure.domain.lower[i], measure.domain.upper[i], count)
+        x = rng.uniform(measure.domain.lower, measure.domain.upper, count)
     else:
-        for i in range(d):
-            out[i] = measure.mean[i] + math.sqrt(measure.var[i]) * rng.standard_normal(count)
-    return out
+        x = measure.mean + math.sqrt(measure.var) * rng.standard_normal(count)
+    return x[None, :]
 
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes (d, K) and nonnegative weights (K,) summing to one, so the rule
+    """Nodes (1, K) and nonnegative weights (K,) summing to one, so the rule
     integrates against the normalized measure it was built for."""
 
     nodes: np.ndarray
@@ -386,10 +368,10 @@ def _axis_rule(measure: Measure, order: int):
                 f"Gauss-Hermite rule of {order} nodes overflows in numpy: "
                 "weights not finite or zero"
             )
-        nodes = measure.mean[0] + math.sqrt(2.0 * measure.var[0]) * t
+        nodes = measure.mean + math.sqrt(2.0 * measure.var) * t
         return nodes, w / math.sqrt(math.pi)
     dom = measure.domain
-    lo, hi = dom.lower[0], dom.upper[0]
+    lo, hi = dom.lower, dom.upper
     if dom.kind == "circle":
         # periodic trapezoid rule: exact for trigonometric polynomials of
         # frequency < order, which is what the fourier dictionaries need
@@ -401,16 +383,13 @@ def _axis_rule(measure: Measure, order: int):
 
 
 def gauss_rule(measure: Measure, order: int) -> QuadratureRule:
-    """Quadrature on a one-dimensional measure, exact to degree 2*order-1.
+    """Quadrature on the measure's one axis, exact to degree 2*order-1.
 
     Gauss-Legendre on boxes, Gauss-Hermite for Gaussians, the periodic
-    trapezoid rule on circles.  No dictionary accepts d > 1, so a measure of
-    more dimensions is a ValueError.
+    trapezoid rule on circles.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    if measure.dimension != 1:
-        raise ValueError(f"quadrature needs a 1-D measure, got d = {measure.dimension}")
     nodes, weights = _axis_rule(measure, order)
     return QuadratureRule(nodes[None, :], weights)
 

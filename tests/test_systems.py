@@ -1,3 +1,4 @@
+import io
 import math
 import warnings
 
@@ -8,14 +9,18 @@ from edmdkit import (
     ConfigError,
     DomainEscapeWarning,
     DynamicalSystem,
+    Eigenmeasure,
     NonFiniteError,
+    SnapshotPair,
     apply,
     apply_batch,
     box,
+    circle,
     gauss_rule,
     gaussian,
     parse_measure,
     parse_system,
+    read_snapshots_csv,
     sample,
     uniform,
 )
@@ -128,17 +133,10 @@ class TestGaussRule:
         assert float(np.sum(rule.weights * (x - 1.5) ** 2)) == pytest.approx(0.7, abs=1e-12)
 
     def test_circle_rule_exact_for_trig(self):
-        from edmdkit import circle
-
         rule = gauss_rule(uniform(circle(1)), 16)
         for m in range(1, 16):
             val = np.sum(rule.weights * np.exp(1j * m * rule.nodes[0]))
             assert abs(val) <= 1e-14
-
-    def test_two_dimensional_measure_is_value_error(self):
-        # no dictionary accepts d > 1, so there is no tensor-product rule
-        with pytest.raises(ValueError, match="1-D measure"):
-            gauss_rule(uniform(box([-1.0, 0.0], [1.0, 2.0])), 4)
 
 
     @pytest.mark.parametrize("order", [371, 400])
@@ -220,13 +218,20 @@ class TestSample:
         assert pts.shape == (1, 4)
         assert np.all((pts >= -1) & (pts <= 1))
 
-    def test_determinism_bit_for_bit(self):
-        measure = parse_measure("uniform:-1,1")
+    @pytest.mark.parametrize("spec, draw", [
+        ("uniform:-1,1", lambda rng, m: rng.uniform(-1.0, 1.0, m)),
+        ("gaussian:2,0.25", lambda rng, m: 2.0 + math.sqrt(0.25) * rng.standard_normal(m)),
+    ], ids=["uniform", "gaussian"])
+    def test_determinism_bit_for_bit(self, spec, draw):
+        measure = parse_measure(spec)
         a = sample(measure, 50, seed=123)
         b = sample(measure, 50, seed=123)
+        assert a.shape == (1, 50)
         assert a.tobytes() == b.tobytes()
         c = sample(measure, 50, seed=124)
         assert a.tobytes() != c.tobytes()
+        # the one generator call that draws the axis
+        assert a.tobytes() == draw(np.random.default_rng(123), 50).tobytes()
 
     def test_empirical_mean_clt_bound(self):
         # 3 sigma / sqrt(M) with sigma^2 = 1/3 is under the stated 0.02
@@ -241,6 +246,41 @@ class TestSample:
         pts = sample(parse_measure("gaussian:2,0.25"), 10**5, seed=5)
         assert float(np.mean(pts)) == pytest.approx(2.0, abs=0.01)
         assert float(np.var(pts)) == pytest.approx(0.25, abs=0.01)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: box([-1.0, 0.0], [1.0, 2.0]),
+    lambda: circle(2),
+    lambda: gaussian([0.0, 0.0], [1.0, 1.0]),
+    lambda: SnapshotPair(np.zeros((2, 3)), np.zeros((2, 3)), "iid:seed=0;M=3"),
+    lambda: read_snapshots_csv(io.StringIO("d,M,provenance\n2,2,iid:seed=0;M=2\n"
+                                           "0.1,0.2,0.3,0.4\n0.5,0.6,0.7,0.8\n")),
+    lambda: Eigenmeasure(np.zeros((2, 3)), np.ones(3, dtype=complex), 0.5 + 0j, 0j),
+], ids=["box", "circle", "gaussian", "snapshot-pair", "snapshot-table", "eigenmeasure"])
+def test_more_than_one_axis_is_value_error(build):
+    # the state space is one axis: no domain, measure or state set of two is built
+    with pytest.raises(ValueError):
+        build()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("build", [
+    lambda v: box(v, 1.0),
+    lambda v: box(-1.0, v),
+    lambda v: gaussian(v, 1.0),
+    lambda v: gaussian(0.0, v),
+], ids=["box-lower", "box-upper", "gaussian-mean", "gaussian-var"])
+def test_non_finite_parameter_is_value_error(build, value):
+    # refused at construction: sample and gauss_rule never see a non-finite bound
+    with pytest.raises(ValueError, match="finite"):
+        build(value)
+
+
+def test_box_of_overflowing_width_is_value_error():
+    # finite bounds whose width overflows would make rng.uniform raise
+    # OverflowError and the Gauss-Legendre nodes infinite
+    with pytest.raises(ValueError, match="finite width"):
+        box(-1e308, 1e308)
 
 
 class TestParsing:

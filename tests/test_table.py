@@ -69,8 +69,8 @@ def _extreme(shape, seed):
     return values
 
 
-def _long_snapshots(m=2 * _ROWS + 1, d=1):
-    return SnapshotPair(*np.split(_extreme((2 * d, m), m), 2), f"iid:seed=0;M={m}")
+def _long_snapshots(m=2 * _ROWS + 1):
+    return SnapshotPair(*np.split(_extreme((2, m), m), 2), f"iid:seed=0;M={m}")
 
 
 def _long_spectrum(count=2 * _ROWS + 1):
@@ -138,6 +138,23 @@ def test_reader_rejects_malformed_tables(name, edit):
         _read(name, edit)
 
 
+@pytest.mark.parametrize("column, cell", [
+    ("dictionary", "legendre:x"), ("dictionary", "chebyshev:3"),
+    # the size of legendre:4, on the box of the table's domain label
+    ("dictionary", "fourier:2"),
+    ("domain", "box:-1.0;1.0;0.0;2.0"), ("domain", "box:-1.0"), ("domain", "box:1.0;-1.0"),
+    ("domain", "box:a;b"), ("domain", "sphere"),
+])
+def test_koopman_reader_rejects_malformed_metadata(column, cell):
+    pair = generate_iid(parse_system("logistic"), parse_measure("uniform:-1,1"), 40, 0)
+    header, meta, *body = _written(write_koopman_csv, fit_edmd(
+        pair, parse_dictionary("legendre:4"))).splitlines(keepends=True)
+    cells = meta.rstrip("\n").split(",")
+    cells[header.rstrip("\n").split(",").index(column)] = cell
+    with pytest.raises(ValueError, match="koopman table"):
+        read_koopman_csv(io.StringIO("".join([header, ",".join(cells) + "\n", *body])))
+
+
 @pytest.mark.parametrize("name, metadata_only", [
     ("snapshots", lambda lines: ["d,M,provenance\n", "1,3,iid:seed=0;M=3\n"]),
     ("koopman", lambda lines: lines[:2]),
@@ -170,9 +187,9 @@ def _pairs(z):
 
 @pytest.mark.parametrize("m", [_ROWS - 1, _ROWS, _ROWS + 1, 2 * _ROWS + 1])
 def test_snapshot_blocks_match_per_row_writer(m):
-    pair = _long_snapshots(m, d=2)
+    pair = _long_snapshots(m)
     text = _written(write_snapshots_csv, pair)
-    assert text == (f"d,M,provenance\n2,{m},{pair.provenance}\n"
+    assert text == (f"d,M,provenance\n1,{m},{pair.provenance}\n"
                     + per_row_lines(np.vstack([pair.X, pair.Y]).T.tolist()))
     back = read_snapshots_csv(io.StringIO(text))
     assert back.X.tobytes() == pair.X.tobytes() and back.Y.tobytes() == pair.Y.tobytes()
@@ -201,17 +218,17 @@ def test_spectrum_blocks_match_per_row_writer():
 
 def test_eigenmeasure_blocks_match_per_row_writer():
     count = _ROWS + 1
-    nu = Eigenmeasure(_extreme((2, count), 2), _extreme((count, 2), 3).view(complex)[:, 0],
+    nu = Eigenmeasure(_extreme((1, count), 2), _extreme((count, 2), 3).view(complex)[:, 0],
                       0.5 + 0j, 0j)
     text = _written(write_eigenmeasure_csv, nu)
-    columns = ["x_1", "x_2", "re_weight", "im_weight"]
+    columns = ["x_1", "re_weight", "im_weight"]
     rows = [[*x, w.real, w.imag] for x, w in zip(nu.atoms.T.tolist(), nu.weights.tolist())]
     assert text == ",".join(columns) + "\n" + per_row_lines(rows)
     # the library reads no eigenmeasure table; the table helpers still give its bits
     first, rest = read_table(io.StringIO(text), columns)
-    back = float_rows(chain([",".join(first)], rest), (None, 4), "nu")
-    assert back[:, :2].T.tobytes() == nu.atoms.tobytes()
-    assert np.ascontiguousarray(back[:, 2:]).view(complex)[:, 0].tobytes() == nu.weights.tobytes()
+    back = float_rows(chain([",".join(first)], rest), (None, 3), "nu")
+    assert back[:, :1].T.tobytes() == nu.atoms.tobytes()
+    assert np.ascontiguousarray(back[:, 1:]).view(complex)[:, 0].tobytes() == nu.weights.tobytes()
 
 
 def _short_then_long(body):
