@@ -82,6 +82,14 @@ def prediction_study(system: DynamicalSystem, dic: Dictionary, measure: Measure,
                     *(r.predicted[:, 0].tolist() for r in sampled)))
 
 
+def _median(values):
+    """The middle of the sorted floats, or the mean of the two middles: the
+    same float as np.median, whose first call imports numpy.ma."""
+    v = sorted(values)
+    half = len(v) // 2
+    return v[half] if len(v) % 2 else (v[half - 1] + v[half]) / 2
+
+
 def mc_rate_study(system: DynamicalSystem, dic: Dictionary, measure: Measure, m_list, seeds):
     """Frobenius gap ||A_{N,M} - A_N||_F per cell, and the log-log slope of
     its per-M medians against M (0.0 for a single M; near -1/2 at the
@@ -92,7 +100,7 @@ def mc_rate_study(system: DynamicalSystem, dic: Dictionary, measure: Measure, m_
     a_n = fit_analytic(system, dic, measure).A
     rows = [(m, seed, float(np.linalg.norm(k.A - a_n)))
             for m, seed, k in _sampled_fits(system, dic, measure, m_list, seeds)]
-    medians = [float(np.median([gap for m_row, _, gap in rows if m_row == m])) for m in m_list]
+    medians = [_median([gap for m_row, _, gap in rows if m_row == m]) for m in m_list]
     slope = float(np.polyfit(np.log(m_list), np.log(medians), 1)[0]) if len(m_list) > 1 else 0.0
     return rows, slope
 

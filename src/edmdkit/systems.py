@@ -237,23 +237,22 @@ class QuadratureRule:
 
 _STIELTJES_TERMS = 20  # truncation error below 2e-20 relative from node 11 on
 _EDGE_NODES = 10  # nodes per end where the Stieltjes series is not accurate
-_ASYMPTOTIC_NODES = 256  # from this order on: asymptotic guesses, one Newton step
+_ASYMPTOTIC_NODES = 256  # from this order on one Newton step, two below
 # the first _EDGE_NODES zeros of the Bessel function J_0
 _J0_ZEROS = (2.404825557695773, 5.520078110286311, 8.653727912911013, 11.791534439014281,
              14.930917708487787, 18.071063967910924, 21.21163662987926, 24.352471530749302,
              27.493479132040253, 30.634606468431976)
 
 
-def _stieltjes(theta, n, rotate):
+def _stieltjes(theta, n):
     """P_n(cos theta) / C_n and its theta-derivative from the Stieltjes series
 
         sum_{m < M} h_m cos(alpha_m) / (2 sin theta)^(m + 1/2),
         alpha_m = (n + m + 1/2) theta - (m + 1/2) pi / 2,
         h_0 = 1,  h_m = h_{m-1} (m - 1/2)^2 / (m (n + m + 1/2)).
 
-    With ``rotate`` each alpha_m comes from alpha_{m-1} by the rotation through
-    theta - pi/2, so the term loop calls no trig function; without it every
-    alpha_m is formed and its cosine and sine taken directly.
+    Only alpha_0 takes a cosine and a sine; each later alpha_m comes from
+    alpha_{m-1} by the rotation through theta - pi/2.
     """
     sin, cos = np.sin(theta), np.cos(theta)
     two_sin = 2.0 * sin
@@ -261,15 +260,13 @@ def _stieltjes(theta, n, rotate):
     p = np.zeros_like(theta)
     dp = np.zeros_like(theta)
     term = 1.0 / np.sqrt(two_sin)  # h_m / (2 sin theta)^(m + 1/2)
+    alpha = (n + 0.5) * theta - 0.25 * math.pi
+    cos_a, sin_a = np.cos(alpha), np.sin(alpha)
     for m in range(_STIELTJES_TERMS):
         if m:
             term = term * ((m - 0.5) ** 2 / (m * (n + m + 0.5))) / two_sin
-        if m and rotate:
             # alpha_m = alpha_{m-1} + theta - pi/2: rotate by (sin theta, -cos theta)
             cos_a, sin_a = cos_a * sin + sin_a * cos, sin_a * sin - cos_a * cos
-        else:
-            alpha = (n + m + 0.5) * theta - (m + 0.5) * (0.5 * math.pi)
-            cos_a, sin_a = np.cos(alpha), np.sin(alpha)
         p += term * cos_a
         dp -= term * ((n + m + 0.5) * sin_a + (m + 0.5) * cot * cos_a)
     return p, dp
@@ -288,7 +285,7 @@ def _newton(evaluate, theta, steps):
 def _leggauss(order):
     """Gauss-Legendre nodes and weights on [-1, 1], ascending and read-only.
 
-    One O(order) generator for every order: Newton steps in theta,
+    One O(order) scheme for every order: Newton steps in theta,
     x = cos(theta), on the half theta in (0, pi/2]; the other half is the
     mirror image, so the rule is exactly symmetric and an odd order has a
     middle node of exactly 0.0.  The weights are 2 / (dP_n/dt)^2 at the nodes.
@@ -303,35 +300,29 @@ def _leggauss(order):
       series P_n(cos t) = sum_k a_k a_{n-k} cos((n - 2k) t),
       a_k = (1/2)_k / k!, whose coefficients are positive and sum to 1.
 
-    Below ``_ASYMPTOTIC_NODES`` (256) every node starts from the Tricomi guess
-    theta_k = pi (4k - 1) / (4 order + 2) and takes four steps at the edges and
-    three inside, one more than the guesses need.  From 256 nodes on, the
-    guesses of Hale & Townsend (2013) and Bogaert (2014) leave one step each,
-    so each series is evaluated twice per node set, once for the step and
-    once for the weights: theta_k = j_{0,k} / sqrt((n + 1/2)^2 + 1/12) at the
-    edges, j_{0,k} the zeros of J_0, and
-    theta_k = arccos((1 - 1/(8n^2) + 1/(8n^3)) cos(Tricomi theta_k)) inside,
-    where ``_stieltjes`` rotates its phases instead of calling cos and sin.
-    One step is not enough well below the threshold (the error reaches 4.3e-11
-    at 20 nodes and 2.6e-14 at 50), and there the rules keep their bits.
+    The first guesses are those of Hale & Townsend (2013) and Bogaert (2014):
+    theta_k = j_{0,k} / sqrt((n + 1/2)^2 + 1/12) at the edges, j_{0,k} the
+    zeros of J_0, and theta_k = arccos((1 - 1/(8n^2) + 1/(8n^3)) cos(t_k))
+    inside, t_k = pi (4k - 1) / (4n + 2) the Tricomi guess.  The order sets
+    only the step count: one from ``_ASYMPTOTIC_NODES`` (256) on, two below,
+    where one step leaves errors up to 4.3e-11 (at 20 nodes).  Each series
+    is evaluated once per step and once more for the weights.
 
-    Against mpmath values the nodes are off by at most 2.8e-16 and the
-    weights by 7.5e-16 at every order from 1 to 128 (2.6e-16 from 22 nodes
-    on; numpy's ``leggauss`` weights by up to 9.5e-15), and by 3.0e-16 and
-    2.0e-17 at 129, 255, 256, 257, 300, 1000 and 4096 nodes.  At 16384 nodes,
-    checked at every 97th node and the 40 nearest the end, they are off by
-    2.3e-16 and 2.6e-19.  Newton on the three-term recurrence
-    (``tests/_oracles.py``) agrees to 3.6e-16 and 1.6e-16 for orders 129 to
-    4096.  The moments of x^0 ... x^40 are exact to 2e-15 at 16384 nodes.
-    Cached and shared, hence read-only; ``_axis_rule`` rescales into new
-    arrays.
+    Against 40-digit mpmath values at every order from 1 to 255, the nodes
+    are off by at most 3.9e-16 and the weights by 4.5e-16; at 256, 257, 300,
+    1000 and 4096 nodes by 3.0e-16 and 2.0e-17.  At 16384 nodes, checked at
+    every 97th node and the 40 nearest the end, they are off by 2.3e-16 and
+    2.6e-19.  Newton on the three-term recurrence (``tests/_oracles.py``)
+    agrees to 1e-15 at every order from 1 to 300.  The moments of
+    x^0 ... x^40 are exact to 2e-15 at 16384 nodes.  Cached and shared, hence
+    read-only; ``gauss_rule`` rescales into new arrays.
     """
     n = order
-    theta = math.pi * (4.0 * np.arange(1, (n + 1) // 2 + 1) - 1.0) / (4.0 * n + 2.0)
-    asymptotic = n >= _ASYMPTOTIC_NODES
-    if asymptotic:
-        theta = np.arccos((1.0 - 1.0 / (8.0 * n**2) + 1.0 / (8.0 * n**3)) * np.cos(theta))
-        theta[:_EDGE_NODES] = np.array(_J0_ZEROS) / math.sqrt((n + 0.5) ** 2 + 1.0 / 12.0)
+    tricomi = math.pi * (4.0 * np.arange(1, (n + 1) // 2 + 1) - 1.0) / (4.0 * n + 2.0)
+    theta = np.arccos((1.0 - 1.0 / (8.0 * n**2) + 1.0 / (8.0 * n**3)) * np.cos(tricomi))
+    edges = min(_EDGE_NODES, theta.size)
+    theta[:edges] = np.array(_J0_ZEROS[:edges]) / math.sqrt((n + 0.5) ** 2 + 1.0 / 12.0)
+    steps = 1 if n >= _ASYMPTOTIC_NODES else 2
     j = np.arange(1, n + 1)
     c_n = 4.0 / math.pi * math.exp(math.fsum(np.log1p(-0.5 / (j + 0.5))))
     a = np.cumprod(np.concatenate(([1.0], (j - 0.5) / j)))
@@ -343,9 +334,8 @@ def _leggauss(order):
         p = np.sum(np.cos(arg) * coef, axis=1)
         return p, -np.sum(np.sin(arg) * (coef * freq), axis=1)
 
-    edge, d_edge = _newton(cosine_series, theta[:_EDGE_NODES], 1 if asymptotic else 4)
-    inner, d_inner = _newton(lambda t: _stieltjes(t, n, asymptotic), theta[_EDGE_NODES:],
-                             1 if asymptotic else 3)
+    edge, d_edge = _newton(cosine_series, theta[:edges], steps)
+    inner, d_inner = _newton(lambda t: _stieltjes(t, n), theta[edges:], steps)
     lower = -np.cos(np.concatenate((edge, inner)))  # ascending to the centre
     half_w = 2.0 / np.concatenate((d_edge, c_n * d_inner)) ** 2
     if n % 2:
@@ -357,31 +347,6 @@ def _leggauss(order):
     return x, w
 
 
-def _axis_rule(measure: Measure, order: int):
-    if measure.kind == "gaussian":
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            t, w = np.polynomial.hermite.hermgauss(order)
-        # numpy's hermgauss overflows from about 371 nodes on: its weights
-        # come back all zero, then NaN
-        if not (np.all(np.isfinite(w)) and np.sum(w) > 0):
-            raise ConfigError(
-                f"Gauss-Hermite rule of {order} nodes overflows in numpy: "
-                "weights not finite or zero"
-            )
-        nodes = measure.mean + math.sqrt(2.0 * measure.var) * t
-        return nodes, w / math.sqrt(math.pi)
-    dom = measure.domain
-    lo, hi = dom.lower, dom.upper
-    if dom.kind == "circle":
-        # periodic trapezoid rule: exact for trigonometric polynomials of
-        # frequency < order, which is what the fourier dictionaries need
-        nodes = lo + (hi - lo) * np.arange(order) / order
-        return nodes, np.full(order, 1.0 / order)
-    t, w = _leggauss(order)
-    nodes = 0.5 * (hi - lo) * t + 0.5 * (hi + lo)
-    return nodes, w / 2.0
-
-
 def gauss_rule(measure: Measure, order: int) -> QuadratureRule:
     """Quadrature on the measure's one axis, exact to degree 2*order-1.
 
@@ -390,8 +355,27 @@ def gauss_rule(measure: Measure, order: int) -> QuadratureRule:
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    nodes, weights = _axis_rule(measure, order)
-    return QuadratureRule(nodes[None, :], weights)
+    if measure.kind == "gaussian":
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            t, w = np.polynomial.hermite.hermgauss(order)
+            nodes = measure.mean + math.sqrt(2.0 * measure.var) * t
+        # numpy's hermgauss overflows from about 371 nodes on: its weights
+        # come back all zero, then NaN; a variance above about 9e307
+        # overflows the scale of the nodes
+        if not (np.all(np.isfinite(w)) and np.sum(w) > 0 and np.all(np.isfinite(nodes))):
+            raise ConfigError(
+                f"Gauss-Hermite rule of {order} nodes for variance {measure.var:g} "
+                "overflows: weights or nodes not finite, or weights zero"
+            )
+        return QuadratureRule(nodes[None, :], w / math.sqrt(math.pi))
+    lo, hi = measure.domain.lower, measure.domain.upper
+    if measure.domain.kind == "circle":
+        # periodic trapezoid rule: exact for trigonometric polynomials of
+        # frequency < order, which is what the fourier dictionaries need
+        nodes = lo + (hi - lo) * np.arange(order) / order
+        return QuadratureRule(nodes[None, :], np.full(order, 1.0 / order))
+    t, w = _leggauss(order)
+    return QuadratureRule((0.5 * (hi - lo) * t + 0.5 * (hi + lo))[None, :], w / 2.0)
 
 
 # ---------------------------------------------------------------------------

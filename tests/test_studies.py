@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,6 +24,7 @@ from edmdkit import (
     prediction_study,
     spectra_study,
 )
+from edmdkit.studies import _median
 
 LOGISTIC = parse_system("logistic")
 UNIFORM11 = parse_measure("uniform:-1,1")
@@ -60,6 +66,29 @@ class TestMcRateStudy:
     def test_single_sample_count_has_zero_slope(self):
         rows, slope = mc_rate_study(LOGISTIC, LEGENDRE4, UNIFORM11, [100], [0, 1])
         assert len(rows) == 2 and slope == 0.0
+
+    @pytest.mark.parametrize("seeds", [1, 2, 3, 4])
+    def test_medians_are_numpys(self, seeds):
+        # an even seed count takes the mean of the two middle gaps
+        m_list = [50, 200]
+        rows, slope = mc_rate_study(LOGISTIC, LEGENDRE4, UNIFORM11, m_list, range(seeds))
+        gaps = [[gap for m, _, gap in rows if m == m_cell] for m_cell in m_list]
+        medians = [float(np.median(g)) for g in gaps]
+        assert [_median(g) for g in gaps] == medians
+        assert slope == float(np.polyfit(np.log(m_list), np.log(medians), 1)[0])
+
+    def test_study_imports_no_masked_arrays(self, tmp_path):
+        # np.median imports numpy.ma on its first call, 13 ms per process
+        code = ("import sys; from edmdkit.cli import main; "
+                "assert main(sys.argv[1:]) == 0; print('numpy.ma' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "study", "mc-rate", "--system", "logistic",
+             "--dict", "legendre:4", "--measure", "uniform:-1,1", "--M", "100,200",
+             "--seeds", "2", "--outdir", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
 
 
 class TestPredictionStudy:

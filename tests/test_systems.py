@@ -145,16 +145,24 @@ class TestGaussRule:
         with pytest.raises(ConfigError):
             gauss_rule(gaussian(0.0, 1.0), order)
 
+    def test_gaussian_node_overflow_is_config_error(self):
+        # sqrt(2 var) overflows above var = 9e307: nodes -inf, nan, inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError):
+                gauss_rule(gaussian(0.0, 1e308), 3)
+
 
 SMALL_ORDERS = [1, 2, 3, 20, 21, 22, 64, 127, 128]
 
 
 class TestLegendreNodes:
-    """The one O(order) generator, at every order and on both sides of its
-    asymptotic threshold (255 and 256 nodes), against Newton on the
-    three-term recurrence and against numpy's eigensolver."""
+    """The one O(order) scheme, at every order up to 300 and on both sides of
+    the threshold where it drops to one Newton step (255 and 256 nodes),
+    against Newton on the three-term recurrence and against numpy's
+    eigensolver."""
 
-    @pytest.mark.parametrize("order", [*SMALL_ORDERS, 129, 255, 256, 257, 1000, 2048, 4096])
+    @pytest.mark.parametrize("order", [*range(1, 301), 1000, 2048, 4096])
     def test_matches_recurrence(self, order):
         x, w = _leggauss(order)
         x_ref, w_ref = leggauss_recurrence(order)
@@ -187,20 +195,20 @@ class TestLegendreNodes:
             assert abs(float(np.sum(w * x**k)) - 2.0 * uniform_moment(k)) <= 1e-14
 
     def test_one_newton_step_from_the_threshold(self, monkeypatch):
-        # below 256 nodes three interior steps and direct phases; from 256 on
-        # one step plus the weights' evaluation, with rotated phases
+        # below 256 nodes two interior steps, from 256 on one, each followed
+        # by the weights' evaluation
         import edmdkit.systems
 
         original, calls = edmdkit.systems._stieltjes, []
 
-        def counted(theta, n, rotate):
-            calls.append((n, rotate))
-            return original(theta, n, rotate)
+        def counted(theta, n):
+            calls.append(n)
+            return original(theta, n)
 
         monkeypatch.setattr(edmdkit.systems, "_stieltjes", counted)
         _leggauss.__wrapped__(255)
         _leggauss.__wrapped__(256)
-        assert calls == [(255, False)] * 4 + [(256, True)] * 2
+        assert calls == [255] * 3 + [256] * 2
 
     @pytest.mark.parametrize("order", [64, 256])
     def test_cached_arrays_are_read_only(self, order):
