@@ -65,15 +65,16 @@ def _rollout(k: KoopmanMatrix, cmat, dic: Dictionary, system: DynamicalSystem, p
     orbit = systems._orbit(system, points)
     block = max(1, _TRUTH_BLOCK // (dic.size * m))
     for start in range(0, horizon, block):
-        steps = planned = min(block, horizon - start)
-        predicted = np.empty((steps, n, m), dtype=complex)
-        for j in range(planned):
-            with np.errstate(over="ignore", invalid="ignore"):
+        planned, powers = min(block, horizon - start), []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(planned):
                 z = k.A @ z
-            if not np.all(np.isfinite(z)):
-                steps = j
-                break
-            predicted[j] = cmat @ z
+                if not np.isfinite(z).all():
+                    break
+                powers.append(z)
+        steps = len(powers)
+        # C A^i psi outside the errstate, so that its overflow still warns
+        predicted = np.array([cmat @ p for p in powers], dtype=complex)
         stacked, truth, done = np.empty((1, steps * m)), np.empty((n, steps * m), complex), 0
         for j, (image, escaped) in enumerate(islice(orbit, steps), 1):
             stacked[:, (j - 1) * m:j * m] = image

@@ -51,19 +51,6 @@ class Domain:
             raise ValueError(f"domain requires lower < upper with a finite width, "
                              f"got [{self.lower}, {self.upper}]")
 
-    def contains(self, points):
-        """Boolean mask over columns of ``points``; the circle always matches."""
-        x = as_points(points)[0]
-        if self.kind == "circle":
-            return np.ones(x.shape, dtype=bool)
-        return (x >= self.lower - _CONTAINS_TOL) & (x <= self.upper + _CONTAINS_TOL)
-
-    def wrap(self, points):
-        """Reduce circle coordinates mod 2*pi; boxes pass through unchanged."""
-        if self.kind != "circle":
-            return points
-        return np.mod(points, TWO_PI)
-
 
 def box(lower, upper) -> Domain:
     return Domain("box", _scalar(lower, "box lower bound"), _scalar(upper, "box upper bound"))
@@ -129,34 +116,42 @@ def _escape_message(system: DynamicalSystem, escaped, count):
 
 
 def _map(system: DynamicalSystem, pts):
-    """T on the columns of ``pts``, circle images wrapped, and the number of
-    images outside the domain (a non-finite image on a box among them); no
-    report and no check.  numpy's overflow and invalid-value warnings are off:
-    a non-finite image is the caller's to report."""
+    """T on the columns of ``pts`` and the number of images outside the
+    domain, with no report and no check: circle images are wrapped mod 2*pi
+    and never count; a box image counts unless it is within [lower, upper]
+    widened by ``_CONTAINS_TOL``, so a non-finite one does.  numpy's overflow
+    and invalid-value warnings are off: a non-finite image is the caller's."""
+    domain = system.domain
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if system.forward_batch is not None:
             out = np.asarray(system.forward_batch(pts), dtype=float)
+            if out.shape != pts.shape:
+                as_points(out)  # images of more rows raise as points would
         else:
             out = np.empty_like(pts)
             for j in range(pts.shape[1]):
                 out[:, j] = system.forward(pts[:, j])
-        out = system.domain.wrap(out)
-    return out, int(np.sum(~system.domain.contains(out)))
+        if domain.kind == "circle":
+            return np.mod(out, TWO_PI), 0
+    inside = (out >= domain.lower - _CONTAINS_TOL) & (out <= domain.upper + _CONTAINS_TOL)
+    return out, out.size - int(np.count_nonzero(inside))
 
 
 def _step(system: DynamicalSystem, pts):
     """``_map`` checked: escapes are reported by one DomainEscapeWarning,
     attributed to the caller of ``apply_batch`` or of ``_orbit``, then a
     non-finite image raises NonFiniteError naming the first column it came
-    from."""
+    from.  A box step with no escape skips the finiteness pass: every image
+    inside a box is finite."""
     out, escaped = _map(system, pts)
     if escaped:
         warnings.warn(_escape_message(system, escaped, pts.shape[1]), DomainEscapeWarning,
                       stacklevel=3)
-    finite = np.all(np.isfinite(out), axis=0)
-    if not np.all(finite):
-        raise NonFiniteError(f"{system.name}: the image of {pts[:, np.argmin(finite)]} "
-                             "is not finite")
+    if escaped or system.domain.kind == "circle":
+        finite = np.all(np.isfinite(out), axis=0)
+        if not np.all(finite):
+            raise NonFiniteError(f"{system.name}: the image of {pts[:, np.argmin(finite)]} "
+                                 "is not finite")
     return out, escaped
 
 
@@ -272,6 +267,29 @@ def _stieltjes(theta, n):
     return p, dp
 
 
+def _cosine_series(theta, n):
+    """P_n(cos theta) and its theta-derivative from the exact cosine series
+
+        P_n(cos theta) = sum_{k <= n} a_k a_{n-k} cos((n - 2k) theta),
+        a_k = (1/2)_k / k!,
+
+    whose coefficients are positive and sum to 1.  The phases
+    e^{i(n-2k) theta} come in blocks: with k = qB + r and B = isqrt(n) + 1,
+    e^{i(n-2k) theta} = e^{i(n-2qB) theta} e^{-2ir theta}, so each node takes
+    about 2 sqrt(n) complex exponentials instead of n + 1 cosines and n + 1
+    sines.  The sums are numpy's pairwise sums over the full row, not BLAS:
+    the bits must not depend on the thread count.
+    """
+    j = np.arange(1, n + 1)
+    a = np.cumprod(np.concatenate(([1.0], (j - 0.5) / j)))
+    coef, freq = a * a[::-1], n - 2.0 * np.arange(n + 1)
+    b = math.isqrt(n) + 1
+    outer = np.exp(1j * np.multiply.outer(theta, n - 2.0 * b * np.arange(-(-(n + 1) // b))))
+    inner = np.exp(-2j * np.multiply.outer(theta, np.arange(b)))
+    phase = (outer[:, :, None] * inner[:, None, :]).reshape(theta.size, -1)[:, : n + 1]
+    return np.sum(phase.real * coef, axis=1), -np.sum(phase.imag * (coef * freq), axis=1)
+
+
 def _newton(evaluate, theta, steps):
     """``steps`` Newton steps on the roots of ``evaluate``; returns the roots
     and the derivative there."""
@@ -297,8 +315,7 @@ def _leggauss(order):
       to only about 4e-11 relative at n = 16384.
     - The ``_EDGE_NODES`` nodes nearest each end (all of the half up to 20
       nodes), where the series does not converge far enough: the exact cosine
-      series P_n(cos t) = sum_k a_k a_{n-k} cos((n - 2k) t),
-      a_k = (1/2)_k / k!, whose coefficients are positive and sum to 1.
+      series of ``_cosine_series``.
 
     The first guesses are those of Hale & Townsend (2013) and Bogaert (2014):
     theta_k = j_{0,k} / sqrt((n + 1/2)^2 + 1/12) at the edges, j_{0,k} the
@@ -309,13 +326,14 @@ def _leggauss(order):
     is evaluated once per step and once more for the weights.
 
     Against 40-digit mpmath values at every order from 1 to 255, the nodes
-    are off by at most 3.9e-16 and the weights by 4.5e-16; at 256, 257, 300,
+    are off by at most 3.9e-16 and the weights by 2.2e-16; at 256, 257, 300,
     1000 and 4096 nodes by 3.0e-16 and 2.0e-17.  At 16384 nodes, checked at
     every 97th node and the 40 nearest the end, they are off by 2.3e-16 and
     2.6e-19.  Newton on the three-term recurrence (``tests/_oracles.py``)
-    agrees to 1e-15 at every order from 1 to 300.  The moments of
-    x^0 ... x^40 are exact to 2e-15 at 16384 nodes.  Cached and shared, hence
-    read-only; ``gauss_rule`` rescales into new arrays.
+    agrees to 1e-15 at every order from 1 to 300 and at 1000, 2048, 4096,
+    8192 and 16384.  The moments of x^0 ... x^40 are exact to 2e-15 at 16384
+    nodes.  Cached and shared, hence read-only; ``gauss_rule`` rescales into
+    new arrays.
     """
     n = order
     tricomi = math.pi * (4.0 * np.arange(1, (n + 1) // 2 + 1) - 1.0) / (4.0 * n + 2.0)
@@ -325,16 +343,7 @@ def _leggauss(order):
     steps = 1 if n >= _ASYMPTOTIC_NODES else 2
     j = np.arange(1, n + 1)
     c_n = 4.0 / math.pi * math.exp(math.fsum(np.log1p(-0.5 / (j + 0.5))))
-    a = np.cumprod(np.concatenate(([1.0], (j - 0.5) / j)))
-    coef, freq = a * a[::-1], n - 2.0 * np.arange(n + 1)
-
-    def cosine_series(t):
-        # numpy sums, not BLAS: the bits must not depend on the thread count
-        arg = np.multiply.outer(t, freq)
-        p = np.sum(np.cos(arg) * coef, axis=1)
-        return p, -np.sum(np.sin(arg) * (coef * freq), axis=1)
-
-    edge, d_edge = _newton(cosine_series, theta[:edges], steps)
+    edge, d_edge = _newton(lambda t: _cosine_series(t, n), theta[:edges], steps)
     inner, d_inner = _newton(lambda t: _stieltjes(t, n), theta[edges:], steps)
     lower = -np.cos(np.concatenate((edge, inner)))  # ascending to the centre
     half_w = 2.0 / np.concatenate((d_edge, c_n * d_inner)) ** 2

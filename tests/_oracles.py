@@ -3,9 +3,10 @@
 Everything here deliberately avoids the code paths under test: eigenvalues
 come from power iteration with deflation (no LAPACK _geev), projections from
 explicit Gram solves on quadrature grids, moments from closed forms,
-Gauss-Legendre rules from Newton steps on the three-term recurrence, least
-squares from the SVD of the wide psi(X) or the eigendecomposition of G
-instead of the QR of [psi(X)^H | psi(Y)^H].  The one LAPACK _geev path here,
+Gauss-Legendre rules from Newton steps on the three-term recurrence, the
+Legendre cosine series from one cosine and one sine per term, least squares
+from the SVD of the wide psi(X) or the eigendecomposition of G instead of
+the QR of [psi(X)^H | psi(Y)^H].  The one LAPACK _geev path here,
 ``complex_eig``, is the complex eigensolve that real Koopman matrices no
 longer take, kept as the reference for the real one.  Numeric CSV bodies
 come from ``per_row_lines``, one ``float.__repr__`` join per row, instead of
@@ -106,6 +107,17 @@ def leggauss_recurrence(order):
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     idx = np.argsort(x)
     return x[idx], w[idx]
+
+
+def legendre_cosine_series(theta, n):
+    """P_n(cos theta) and its theta-derivative from the cosine series
+    sum_k a_k a_{n-k} cos((n - 2k) theta), a_k = (1/2)_k / k!, one cosine and
+    one sine per term; the reference for ``systems._cosine_series``."""
+    j = np.arange(1, n + 1)
+    a = np.cumprod(np.concatenate(([1.0], (j - 0.5) / j)))
+    coef, freq = a * a[::-1], n - 2.0 * np.arange(n + 1)
+    arg = np.multiply.outer(theta, freq)
+    return np.sum(np.cos(arg) * coef, axis=1), -np.sum(np.sin(arg) * (coef * freq), axis=1)
 
 
 def _legendre_and_derivative(x, order):

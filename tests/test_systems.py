@@ -25,9 +25,10 @@ from edmdkit import (
     uniform,
 )
 
-from edmdkit.systems import _leggauss
+from edmdkit import systems
+from edmdkit.systems import _CONTAINS_TOL, _J0_ZEROS, _leggauss
 
-from _oracles import leggauss_recurrence, uniform_moment
+from _oracles import legendre_cosine_series, leggauss_recurrence, uniform_moment
 
 TWO_PI = 2.0 * math.pi
 
@@ -93,6 +94,40 @@ class TestApply:
                 apply_batch(system, [[0.0, 5e199, 1e-201]])
         assert [(w.category, str(w.message)) for w in caught] == [
             (DomainEscapeWarning, "grow: 1 of 3 images left the domain")]
+
+    @pytest.mark.parametrize("image, escaped", [
+        (-1.0 - _CONTAINS_TOL, 0), (np.nextafter(-1.0 - _CONTAINS_TOL, -math.inf), 1),
+        (2.0 + _CONTAINS_TOL, 0), (np.nextafter(2.0 + _CONTAINS_TOL, math.inf), 1),
+        (math.nan, 1), (math.inf, 1), (-math.inf, 1),
+    ], ids=["lower", "below-lower", "upper", "above-upper", "nan", "inf", "-inf"])
+    def test_box_escape_count(self, image, escaped):
+        # an image escapes when it is not within [lower - tol, upper + tol]
+        def step(x):
+            return np.where(x > 0.0, image, x)
+
+        system = DynamicalSystem("constant", box(-1.0, 2.0), forward=step, forward_batch=step)
+        out, count = systems._map(system, np.array([[0.5, -0.5, 1.5]]))
+        assert count == 2 * escaped
+        assert np.array_equal(out, [[image, -0.5, image]], equal_nan=True)
+
+    @pytest.mark.parametrize("domain", [box(-1.0, 1.0), circle()], ids=["box", "circle"])
+    def test_image_of_more_rows_is_value_error(self, domain):
+        def step(x):
+            return np.vstack([x, x])
+
+        system = DynamicalSystem("two-rows", domain, forward=step, forward_batch=step)
+        with pytest.raises(ValueError, match=r"^points must be \(1, M\), got shape \(2, 3\)$"):
+            apply_batch(system, [[0.1, 0.2, 0.3]])
+
+    def test_circle_non_finite_image_raises_without_escape(self):
+        system = DynamicalSystem("blowup", circle(), forward=lambda x: x + math.inf,
+                                 forward_batch=lambda x: x + math.inf)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NonFiniteError,
+                               match=r"^blowup: the image of \[0.5\] is not finite$"):
+                apply_batch(system, [[0.5]])
+        assert caught == []
 
 
 class TestGaussRule:
@@ -162,12 +197,22 @@ class TestLegendreNodes:
     against Newton on the three-term recurrence and against numpy's
     eigensolver."""
 
-    @pytest.mark.parametrize("order", [*range(1, 301), 1000, 2048, 4096])
+    @pytest.mark.parametrize("order", [*range(1, 301), 1000, 2048, 4096, 8192, 16384])
     def test_matches_recurrence(self, order):
         x, w = _leggauss(order)
         x_ref, w_ref = leggauss_recurrence(order)
         assert float(np.max(np.abs(x - x_ref))) <= 1e-15
         assert float(np.max(np.abs(w - w_ref))) <= 1e-15
+
+    @pytest.mark.parametrize("order", [*range(1, 301), 1024, 4096, 16384])
+    def test_cosine_series_matches_per_term_sum(self, order):
+        # at the first guesses of the edge nodes, the whole half below 20 nodes
+        edges = min(len(_J0_ZEROS), (order + 1) // 2)
+        theta = np.array(_J0_ZEROS[:edges]) / math.sqrt((order + 0.5) ** 2 + 1.0 / 12.0)
+        p, dp = systems._cosine_series(theta, order)
+        p_ref, dp_ref = legendre_cosine_series(theta, order)
+        assert float(np.max(np.abs(p - p_ref))) <= 2e-15
+        assert float(np.max(np.abs(dp - dp_ref) / np.abs(dp_ref))) <= 1e-14
 
     @pytest.mark.parametrize("order", SMALL_ORDERS)
     def test_matches_numpy(self, order):
