@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
@@ -71,18 +70,19 @@ def generate_iid(system: DynamicalSystem, measure: Measure, count: int, seed: in
 def generate_trajectory(system: DynamicalSystem, x0, count: int) -> SnapshotPair:
     """Snapshots along a single orbit: X = (x0, Tx0, ...), Y shifted by one.
 
-    The states are the first ``count`` steps of ``systems._orbit`` from x0, so
-    each escape is reported and a non-finite state raises NonFiniteError.
+    The states are ``count`` checked map steps (``systems._step``) from x0: each
+    escape is reported as the caller's, and a non-finite state raises NonFiniteError.
     Y[:, j] equals X[:, j+1] exactly for j < count-1 because both views come
     from one computed sequence.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    x = as_state(x0)[:, None]
-    orbit = islice(systems._orbit(system, x), count)
-    seq = np.concatenate([x, *(image for image, _ in orbit)], axis=1)
+    states = [as_state(x0)[:, None]]
+    for _ in range(count):
+        states.append(systems._step(system, states[-1])[0])
+    seq = np.concatenate(states, axis=1)
     return SnapshotPair(seq[:, :-1].copy(), seq[:, 1:].copy(),
-                        f"trajectory:x0={float(x[0, 0])!r};M={count}")
+                        f"trajectory:x0={float(seq[0, 0])!r};M={count}")
 
 
 # ---------------------------------------------------------------------------

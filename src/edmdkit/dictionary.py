@@ -32,7 +32,7 @@ _BLOCK = 2048
 
 
 _DEFAULT_DOMAINS = {"legendre": box(-1.0, 1.0), "monomial": box(-1.0, 1.0),
-                    "fourier": circle(1), "sine": box(0.0, 1.0)}
+                    "fourier": circle(), "sine": box(0.0, 1.0)}
 
 
 @dataclass(frozen=True)

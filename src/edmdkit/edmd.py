@@ -150,7 +150,7 @@ def _domain_label(dom: Domain) -> str:
 
 def _parse_domain_label(label: str) -> Domain:
     if label == "circle":
-        return circle(1)
+        return circle()
     kind, _, body = label.partition(":")
     bounds = body.split(";")
     if kind != "box" or len(bounds) != 2:

@@ -10,7 +10,6 @@ truth independent of every Koopman object.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -47,22 +46,23 @@ def _rollout(k: KoopmanMatrix, cmat, dic: Dictionary, system: DynamicalSystem, p
              horizon: int):
     """Yield (C A^i psi(points), C psi(T^i points)) for i = 1 .. horizon, each
     (n, M): the Koopman prediction and the truth at every column of ``points``,
-    the truth along ``systems._orbit``.
+    the truth along the orbit of checked map steps (``systems._step``).
 
     Steps go in blocks of at most ``_TRUTH_BLOCK`` dictionary values, one step
     when a single step has more.  A block first advances A^i psi, up to its
     first non-finite step.  The orbit is stepped only up to the step before,
     and psi is evaluated once on the stacked orbit points, and right after
-    each step with points outside the domain.  So the NonFiniteError raised and
-    the DomainEscapeWarnings issued are those of stepping and evaluating one
-    step at a time, the prediction check of a step before its truth.  Only the
-    A z recurrence is sequential.  ``dic`` must be the fit's own dictionary
-    (ValueError otherwise).
+    each step with points outside the domain.  So, while psi is finite at every
+    image inside the domain, the NonFiniteError raised and the
+    DomainEscapeWarnings issued are those of stepping and evaluating one step
+    at a time, the prediction check of a step before its truth; past an image
+    inside the domain where psi is not finite, the orbit runs on to the next
+    escape or the block's end.  Only the A z recurrence is sequential.  ``dic``
+    must be the fit's own dictionary (ValueError otherwise).
     """
     _check_dictionary(k, dic)
     z = evaluate_batch(dic, points)
     m, n = points.shape[1], cmat.shape[0]
-    orbit = systems._orbit(system, points)
     block = max(1, _TRUTH_BLOCK // (dic.size * m))
     for start in range(0, horizon, block):
         planned, powers = min(block, horizon - start), []
@@ -76,8 +76,9 @@ def _rollout(k: KoopmanMatrix, cmat, dic: Dictionary, system: DynamicalSystem, p
         # C A^i psi outside the errstate, so that its overflow still warns
         predicted = np.array([cmat @ p for p in powers], dtype=complex)
         stacked, truth, done = np.empty((1, steps * m)), np.empty((n, steps * m), complex), 0
-        for j, (image, escaped) in enumerate(islice(orbit, steps), 1):
-            stacked[:, (j - 1) * m:j * m] = image
+        for j in range(1, steps + 1):
+            points, escaped = systems._step(system, points)
+            stacked[:, (j - 1) * m:j * m] = points
             if escaped or j == steps:
                 cols = slice(done * m, j * m)
                 truth[:, cols] = cmat @ evaluate_batch(dic, stacked[:, cols])
@@ -124,7 +125,10 @@ def observable_matrix(f, dic: Dictionary, rule) -> np.ndarray:
     """Rows of coefficients c_i with c_i psi ~ f_i, the weighted least-squares
     projection of each row f_i of f(rule.nodes), one call on all the nodes, in
     the measure the rule realizes (weights 1/M on M sample points: the empirical
-    projection), exact whenever f_i lies in the span; ``dictionary._project``
-    raises RankDeficiencyError."""
+    projection), exact whenever f_i lies in the span.  Values not shaped (n, K)
+    for the rule's K nodes raise ValueError; ``dictionary._project`` raises
+    RankDeficiencyError."""
     values = np.atleast_2d(f(rule.nodes))
+    if values.ndim != 2 or values.shape[1] != rule.size:
+        raise ValueError(f"f(rule.nodes) must be (n, {rule.size}), got {values.shape}")
     return np.ascontiguousarray(_project(dic, rule, lambda cols: values[:, cols])[0])

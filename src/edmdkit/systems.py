@@ -56,9 +56,7 @@ def box(lower, upper) -> Domain:
     return Domain("box", _scalar(lower, "box lower bound"), _scalar(upper, "box upper bound"))
 
 
-def circle(dimension=1) -> Domain:
-    if dimension != 1:
-        raise ValueError(f"the circle has one axis, got dimension {dimension}")
+def circle() -> Domain:
     return Domain("circle", 0.0, TWO_PI)
 
 
@@ -66,11 +64,12 @@ def circle(dimension=1) -> Domain:
 class DynamicalSystem:
     """Discrete-time map x+ = T(x) on a domain.
 
-    ``forward_batch`` acts on a ``(1, M)`` array of states, one per column.
-    ``forward`` acts on a single state (length-1 array) and is used only when
-    ``forward_batch`` is None, column by column.  ``polynomial_degree`` is the
-    polynomial degree of T when T is polynomial; it drives exact quadrature
-    order selection.
+    ``forward_batch`` acts on a ``(1, M)`` array of states, one per column,
+    and returns their ``(1, M)`` array of images; an image of any other shape
+    is a ValueError.  ``forward`` acts on a single state (length-1 array) and
+    is used only when ``forward_batch`` is None, column by column.
+    ``polynomial_degree`` is the polynomial degree of T when T is polynomial;
+    it drives exact quadrature order selection.
     """
 
     name: str
@@ -119,14 +118,16 @@ def _map(system: DynamicalSystem, pts):
     """T on the columns of ``pts`` and the number of images outside the
     domain, with no report and no check: circle images are wrapped mod 2*pi
     and never count; a box image counts unless it is within [lower, upper]
-    widened by ``_CONTAINS_TOL``, so a non-finite one does.  numpy's overflow
-    and invalid-value warnings are off: a non-finite image is the caller's."""
+    widened by ``_CONTAINS_TOL``, so a non-finite one does.  An image not
+    shaped like ``pts`` is a ValueError.  numpy's overflow and invalid-value
+    warnings are off: a non-finite image is the caller's."""
     domain = system.domain
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if system.forward_batch is not None:
             out = np.asarray(system.forward_batch(pts), dtype=float)
             if out.shape != pts.shape:
-                as_points(out)  # images of more rows raise as points would
+                raise ValueError(f"{system.name}: the map image has shape {out.shape}, "
+                                 f"not the points' shape {pts.shape}")
         else:
             out = np.empty_like(pts)
             for j in range(pts.shape[1]):
@@ -139,7 +140,8 @@ def _map(system: DynamicalSystem, pts):
 
 def _step(system: DynamicalSystem, pts):
     """``_map`` checked: escapes are reported by one DomainEscapeWarning,
-    attributed to the caller of ``apply_batch`` or of ``_orbit``, then a
+    attributed to the caller of the function calling ``_step`` (of
+    ``apply_batch``, ``generate_trajectory`` or the rollout), then a
     non-finite image raises NonFiniteError naming the first column it came
     from.  A box step with no escape skips the finiteness pass: every image
     inside a box is finite."""
@@ -153,15 +155,6 @@ def _step(system: DynamicalSystem, pts):
             raise NonFiniteError(f"{system.name}: the image of {pts[:, np.argmin(finite)]} "
                                  "is not finite")
     return out, escaped
-
-
-def _orbit(system: DynamicalSystem, points):
-    """Yield (T^i points, number of them outside the domain) for i = 1, 2, ...:
-    the one orbit loop, ``_step`` repeated, so each step issues at most one
-    DomainEscapeWarning and a non-finite image raises NonFiniteError."""
-    while True:
-        points, escaped = _step(system, points)
-        yield points, escaped
 
 
 @dataclass(frozen=True)
@@ -438,7 +431,7 @@ def parse_system(spec: str) -> DynamicalSystem:
         return _system("identity", box(-1.0, 1.0), lambda x: x, 1)
     if name == "rotation":
         omega, = _parse_kv(body, spec, "omega")
-        return _system(f"rotation:omega={omega!r}", circle(1), lambda x: x + omega)
+        return _system(f"rotation:omega={omega!r}", circle(), lambda x: x + omega)
     if name == "affine":
         a, b = _parse_kv(body, spec, "a", "b")
         return _system(f"affine:a={a!r},b={b!r}", box(-1.0, 1.0), lambda x: a * x + b, 1)

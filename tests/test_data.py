@@ -1,5 +1,6 @@
 import io
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -95,6 +96,16 @@ class TestGenerateTrajectory:
         with pytest.warns(DomainEscapeWarning), np.errstate(over="ignore"), \
                 pytest.raises(NonFiniteError, match=r"grow: the image of \[5.e\+199\] is not finite"):
             generate_trajectory(system, [0.5], 5)
+
+    def test_escape_warnings_name_the_caller(self):
+        # from x0 = 0.9 every image of x -> 3x leaves [-1, 1]: one warning per
+        # step, each attributed to this line, not to a line of the library
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            generate_trajectory(parse_system("affine:a=3,b=0"), [0.9], 5)
+        escapes = [w for w in caught if issubclass(w.category, DomainEscapeWarning)]
+        assert len(escapes) == 5
+        assert {w.filename for w in escapes} == {__file__}
 
     def test_trajectory_provenance(self):
         pair = generate_trajectory(parse_system("logistic"), [0.3], 5)

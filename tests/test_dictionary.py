@@ -128,7 +128,7 @@ class TestGram:
 
     def test_fourier_trapezoid_identity(self):
         dic = parse_dictionary("fourier:2")
-        g = gram(dic, gauss_rule(uniform(circle(1)), 16))
+        g = gram(dic, gauss_rule(uniform(circle()), 16))
         assert np.max(np.abs(g - np.eye(5))) <= 1e-14
 
     def test_orthonormal_families_near_identity(self):

@@ -321,9 +321,10 @@ class TestObservableMatrix:
         expected[1] = 1.0 / math.sqrt(3.0)
         assert np.max(np.abs(c[0] - expected)) <= 1e-14
 
-    def test_exact_on_span_members(self):
+    @pytest.mark.parametrize("order", [32, 4096])
+    def test_exact_on_span_members(self, order):
         dic = parse_dictionary("monomial:3")
-        rule = gauss_rule(UNIFORM11, 32)
+        rule = gauss_rule(UNIFORM11, order)
         c = observable_matrix(lambda p: np.vstack([2.0 * p[0] ** 3 - p[0], p[0] ** 2]),
                               dic, rule)
         assert c[0] == pytest.approx([0.0, -1.0, 0.0, 2.0], abs=1e-12)
@@ -332,6 +333,11 @@ class TestObservableMatrix:
         x = rule.nodes[0]
         rows = [np.conj(quadrature_projection(dic, rule, f)) for f in (2.0 * x**3 - x, x**2)]
         assert np.max(np.abs(c - np.vstack(rows))) <= 1e-13
+        # values at more points than the rule has nodes are refused, on one
+        # reduction block of nodes as on two
+        with pytest.raises(ValueError, match=rf"^f\(rule.nodes\) must be \(n, {order}\), "
+                                             rf"got \(1, {order + 5}\)$"):
+            observable_matrix(lambda p: np.concatenate([p[0], np.zeros(5)]), dic, rule)
 
     def test_basis_element_projects_to_coordinate(self):
         dic = parse_dictionary("legendre:5")

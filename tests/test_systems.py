@@ -1,5 +1,6 @@
 import io
 import math
+import re
 import warnings
 
 import numpy as np
@@ -16,10 +17,15 @@ from edmdkit import (
     apply_batch,
     box,
     circle,
+    fit_analytic,
     gauss_rule,
     gaussian,
+    generate_iid,
+    generate_trajectory,
+    parse_dictionary,
     parse_measure,
     parse_system,
+    predict,
     read_snapshots_csv,
     sample,
     uniform,
@@ -31,6 +37,10 @@ from edmdkit.systems import _CONTAINS_TOL, _J0_ZEROS, _leggauss
 from _oracles import legendre_cosine_series, leggauss_recurrence, uniform_moment
 
 TWO_PI = 2.0 * math.pi
+
+# map images not shaped like their (1, M) points
+MISSHAPEN = {"flat": lambda x: x[0], "wide": lambda x: np.hstack([x, np.zeros((1, 2))]),
+             "two-rows": lambda x: np.vstack([x, x]), "scalar": lambda x: 0.5}
 
 
 class TestApply:
@@ -110,14 +120,29 @@ class TestApply:
         assert count == 2 * escaped
         assert np.array_equal(out, [[image, -0.5, image]], equal_nan=True)
 
+    @pytest.mark.parametrize("entry", ["apply_batch", "generate_iid", "generate_trajectory",
+                                       "fit_analytic", "predict"])
+    @pytest.mark.parametrize("image", sorted(MISSHAPEN))
     @pytest.mark.parametrize("domain", [box(-1.0, 1.0), circle()], ids=["box", "circle"])
-    def test_image_of_more_rows_is_value_error(self, domain):
-        def step(x):
-            return np.vstack([x, x])
-
-        system = DynamicalSystem("two-rows", domain, forward=step, forward_batch=step)
-        with pytest.raises(ValueError, match=r"^points must be \(1, M\), got shape \(2, 3\)$"):
-            apply_batch(system, [[0.1, 0.2, 0.3]])
+    def test_misshapen_image_is_value_error(self, domain, image, entry):
+        # every entry point meets the one shape check of systems._map
+        step = MISSHAPEN[image]
+        system = DynamicalSystem("misshapen", domain, forward=step, forward_batch=step)
+        measure = uniform(domain)
+        dic = parse_dictionary("legendre:2" if domain.kind == "box" else "fourier:1", domain)
+        k = fit_analytic(DynamicalSystem("identity", domain, forward=lambda x: x,
+                                         forward_batch=lambda x: x), dic, measure)
+        m, call = {
+            "apply_batch": (3, lambda: apply_batch(system, [[0.1, 0.2, 0.3]])),
+            "generate_iid": (3, lambda: generate_iid(system, measure, 3, seed=0)),
+            "generate_trajectory": (1, lambda: generate_trajectory(system, [0.5], 4)),
+            "fit_analytic": (16, lambda: fit_analytic(system, dic, measure, quad_order=16)),
+            "predict": (1, lambda: predict(k, np.ones(dic.size), [0.5], 4, dic, system)),
+        }[entry]
+        shape = np.shape(step(np.zeros((1, m))))
+        message = f"misshapen: the map image has shape {shape}, not the points' shape (1, {m})"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
 
     def test_circle_non_finite_image_raises_without_escape(self):
         system = DynamicalSystem("blowup", circle(), forward=lambda x: x + math.inf,
@@ -168,7 +193,7 @@ class TestGaussRule:
         assert float(np.sum(rule.weights * (x - 1.5) ** 2)) == pytest.approx(0.7, abs=1e-12)
 
     def test_circle_rule_exact_for_trig(self):
-        rule = gauss_rule(uniform(circle(1)), 16)
+        rule = gauss_rule(uniform(circle()), 16)
         for m in range(1, 16):
             val = np.sum(rule.weights * np.exp(1j * m * rule.nodes[0]))
             assert abs(val) <= 1e-14
@@ -303,13 +328,12 @@ class TestSample:
 
 @pytest.mark.parametrize("build", [
     lambda: box([-1.0, 0.0], [1.0, 2.0]),
-    lambda: circle(2),
     lambda: gaussian([0.0, 0.0], [1.0, 1.0]),
     lambda: SnapshotPair(np.zeros((2, 3)), np.zeros((2, 3)), "iid:seed=0;M=3"),
     lambda: read_snapshots_csv(io.StringIO("d,M,provenance\n2,2,iid:seed=0;M=2\n"
                                            "0.1,0.2,0.3,0.4\n0.5,0.6,0.7,0.8\n")),
     lambda: Eigenmeasure(np.zeros((2, 3)), np.ones(3, dtype=complex), 0.5 + 0j, 0j),
-], ids=["box", "circle", "gaussian", "snapshot-pair", "snapshot-table", "eigenmeasure"])
+], ids=["box", "gaussian", "snapshot-pair", "snapshot-table", "eigenmeasure"])
 def test_more_than_one_axis_is_value_error(build):
     # the state space is one axis: no domain, measure or state set of two is built
     with pytest.raises(ValueError):
