@@ -64,12 +64,11 @@ def circle() -> Domain:
 class DynamicalSystem:
     """Discrete-time map x+ = T(x) on a domain.
 
-    ``forward_batch`` acts on a ``(1, M)`` array of states, one per column,
-    and returns their ``(1, M)`` array of images; an image of any other shape
-    is a ValueError.  ``forward`` acts on a single state (length-1 array) and
-    is used only when ``forward_batch`` is None, column by column.
-    ``polynomial_degree`` is the polynomial degree of T when T is polynomial;
-    it drives exact quadrature order selection.
+    ``forward_batch`` and ``forward`` each map a ``(1, M)`` array of states,
+    one per column, to their ``(1, M)`` array of images; an image of any
+    other shape is a ValueError.  ``forward`` takes the place of a missing
+    ``forward_batch``.  ``polynomial_degree`` is the polynomial degree of T
+    when T is polynomial; it drives exact quadrature order selection.
     """
 
     name: str
@@ -123,15 +122,10 @@ def _map(system: DynamicalSystem, pts):
     warnings are off: a non-finite image is the caller's."""
     domain = system.domain
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if system.forward_batch is not None:
-            out = np.asarray(system.forward_batch(pts), dtype=float)
-            if out.shape != pts.shape:
-                raise ValueError(f"{system.name}: the map image has shape {out.shape}, "
-                                 f"not the points' shape {pts.shape}")
-        else:
-            out = np.empty_like(pts)
-            for j in range(pts.shape[1]):
-                out[:, j] = system.forward(pts[:, j])
+        out = np.asarray((system.forward_batch or system.forward)(pts), dtype=float)
+        if out.shape != pts.shape:
+            raise ValueError(f"{system.name}: the map image has shape {out.shape}, "
+                             f"not the points' shape {pts.shape}")
         if domain.kind == "circle":
             return np.mod(out, TWO_PI), 0
     inside = (out >= domain.lower - _CONTAINS_TOL) & (out <= domain.upper + _CONTAINS_TOL)

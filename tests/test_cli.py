@@ -444,6 +444,18 @@ class TestConfigFile:
             k = read_koopman_csv(f)
         assert np.max(np.abs(k.A - np.eye(5))) <= 1e-10
 
+    def test_blank_and_comment_lines_are_skipped(self, tmp_path):
+        (tmp_path / "plain.cfg").write_text(
+            "system=identity\ndict=legendre:4\nmeasure=uniform:-1,1\nM=50\n", encoding="utf-8")
+        (tmp_path / "noted.cfg").write_text(
+            "# an identity fit\n\nsystem=identity\ndict=legendre:4\n   \n"
+            "measure=uniform:-1,1\n# the sample count\nM=50\n\n", encoding="utf-8")
+        for name in ["plain", "noted"]:
+            assert main(["edmd", "--config", str(tmp_path / f"{name}.cfg"),
+                         "--outdir", str(tmp_path / name), "--reproducible"]) == 0
+        assert ((tmp_path / "plain" / "edmd_matrix.csv").read_bytes()
+                == (tmp_path / "noted" / "edmd_matrix.csv").read_bytes())
+
     def test_flags_override_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("system=identity\ndict=legendre:4\nmeasure=uniform:-1,1\nM=50\n",

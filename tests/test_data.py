@@ -107,6 +107,10 @@ class TestGenerateTrajectory:
         assert len(escapes) == 5
         assert {w.filename for w in escapes} == {__file__}
 
+    def test_no_steps(self):
+        with pytest.raises(ValueError, match="count must be >= 1"):
+            generate_trajectory(parse_system("logistic"), [0.3], 0)
+
     def test_trajectory_provenance(self):
         pair = generate_trajectory(parse_system("logistic"), [0.3], 5)
         assert pair.is_trajectory

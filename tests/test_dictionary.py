@@ -248,6 +248,10 @@ class TestValidation:
         with pytest.raises(ConfigError, match="must be an integer"):
             parse_dictionary(f"legendre:{body}")
 
+    def test_sine_mode_starts_at_one(self):
+        with pytest.raises(ConfigError, match="sine mode must be >= 1"):
+            parse_dictionary("sine:0")
+
     def test_sizes(self):
         assert parse_dictionary("legendre:8").size == 9
         assert parse_dictionary("fourier:2").size == 5

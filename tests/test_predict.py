@@ -102,6 +102,16 @@ class TestPredict:
         assert res.predicted.shape == (0, 1)
         assert res.errors.shape == (0,)
 
+    @pytest.mark.parametrize("c, horizon, message", [
+        (np.ones(6), 2, r"observable matrix must be \(n, 5\), got \(1, 6\)"),
+        (np.ones(5), -1, "horizon must be nonnegative"),
+    ], ids=["observable-width", "negative-horizon"])
+    def test_malformed_input_is_value_error(self, c, horizon, message):
+        dic = parse_dictionary("legendre:4")
+        k = fit_analytic(LOGISTIC, dic, UNIFORM11)
+        with pytest.raises(ValueError, match=message):
+            predict(k, c, [0.3], horizon, dic, LOGISTIC)
+
     def test_non_finite_prediction_raises(self):
         # a spectral radius of 1e100 overflows A^i psi at the fourth step
         dic = parse_dictionary("legendre:4")

@@ -9,7 +9,9 @@ from edmdkit import (
     Eigenmeasure,
     EigensolverError,
     KoopmanMatrix,
+    QuadratureRule,
     RankDeficiencyError,
+    SpectralDecomp,
     box,
     eig,
     eigenfunction_values,
@@ -278,6 +280,15 @@ class TestOscillationSeminorm:
         rule = gauss_rule(uniform(dic.domain), 128)
         value = oscillation_seminorm(d, 0, dic, rule)
         assert value == pytest.approx(expected, rel=1e-8)
+
+    def test_eigenfunction_vanishing_on_every_node_is_value_error(self):
+        # phi = sqrt(3) x on legendre:1 is zero on a one-node rule at 0
+        dic = parse_dictionary("legendre:1")
+        decomp = SpectralDecomp(np.ones(1, dtype=complex), np.array([[0.0], [1.0]], dtype=complex),
+                                np.zeros(1))
+        rule = QuadratureRule(np.zeros((1, 1)), np.ones(1))
+        with pytest.raises(ValueError, match="vanishes on the quadrature nodes"):
+            oscillation_seminorm(decomp, 0, dic, rule)
 
     def test_high_mode_scores_larger(self):
         # the spurious-eigenvalue heuristic: oscillation grows like mode^2

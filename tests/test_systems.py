@@ -8,10 +8,13 @@ import pytest
 
 from edmdkit import (
     ConfigError,
+    Domain,
     DomainEscapeWarning,
     DynamicalSystem,
     Eigenmeasure,
+    Measure,
     NonFiniteError,
+    QuadratureRule,
     SnapshotPair,
     apply,
     apply_batch,
@@ -73,14 +76,22 @@ class TestApply:
     @pytest.mark.parametrize("spec", ["logistic", "identity", "rotation:omega=0.8378",
                                       "affine:a=0.5,b=0.25", "forward-only"])
     def test_single_state_is_batch_on_one_column(self, spec):
+        shapes = []
         if spec == "forward-only":
-            # no forward_batch: apply_batch falls back to forward per column
-            system = DynamicalSystem("forward-only", box(-1.0, 1.0),
-                                     forward=lambda x: np.sin(3.0 * x) * 0.9)
+            # no forward_batch: forward maps the whole (1, M) array in one call
+            def forward(x):
+                shapes.append(x.shape)
+                return np.sin(3.0 * x) * 0.9
+
+            system = DynamicalSystem("forward-only", box(-1.0, 1.0), forward=forward)
         else:
             system = parse_system(spec)
         pts = sample(uniform(system.domain), 50, seed=11)
         batch = apply_batch(system, pts)
+        if spec == "forward-only":
+            assert shapes == [(1, 50)]
+        # a 1-D array is one row of states
+        assert apply_batch(system, pts[0]).tobytes() == batch.tobytes()
         for j in range(pts.shape[1]):
             x = pts[:, j]
             assert apply(system, x).tobytes() == apply_batch(system, x[:, None])[:, 0].tobytes()
@@ -124,10 +135,13 @@ class TestApply:
                                        "fit_analytic", "predict"])
     @pytest.mark.parametrize("image", sorted(MISSHAPEN))
     @pytest.mark.parametrize("domain", [box(-1.0, 1.0), circle()], ids=["box", "circle"])
-    def test_misshapen_image_is_value_error(self, domain, image, entry):
-        # every entry point meets the one shape check of systems._map
+    @pytest.mark.parametrize("field", ["both", "forward-only"])
+    def test_misshapen_image_is_value_error(self, field, domain, image, entry):
+        # every entry point meets the one shape check of systems._map, and so
+        # does a forward that stands in for a missing forward_batch
         step = MISSHAPEN[image]
-        system = DynamicalSystem("misshapen", domain, forward=step, forward_batch=step)
+        system = DynamicalSystem("misshapen", domain, forward=step,
+                                 forward_batch=step if field == "both" else None)
         measure = uniform(domain)
         dic = parse_dictionary("legendre:2" if domain.kind == "box" else "fourier:1", domain)
         k = fit_analytic(DynamicalSystem("identity", domain, forward=lambda x: x,
@@ -333,7 +347,8 @@ class TestSample:
     lambda: read_snapshots_csv(io.StringIO("d,M,provenance\n2,2,iid:seed=0;M=2\n"
                                            "0.1,0.2,0.3,0.4\n0.5,0.6,0.7,0.8\n")),
     lambda: Eigenmeasure(np.zeros((2, 3)), np.ones(3, dtype=complex), 0.5 + 0j, 0j),
-], ids=["box", "gaussian", "snapshot-pair", "snapshot-table", "eigenmeasure"])
+    lambda: systems.as_points(np.zeros((2, 3))),
+], ids=["box", "gaussian", "snapshot-pair", "snapshot-table", "eigenmeasure", "points"])
 def test_more_than_one_axis_is_value_error(build):
     # the state space is one axis: no domain, measure or state set of two is built
     with pytest.raises(ValueError):
@@ -346,11 +361,27 @@ def test_more_than_one_axis_is_value_error(build):
     lambda v: box(-1.0, v),
     lambda v: gaussian(v, 1.0),
     lambda v: gaussian(0.0, v),
-], ids=["box-lower", "box-upper", "gaussian-mean", "gaussian-var"])
+    lambda v: systems.as_state(v),
+], ids=["box-lower", "box-upper", "gaussian-mean", "gaussian-var", "state"])
 def test_non_finite_parameter_is_value_error(build, value):
-    # refused at construction: sample and gauss_rule never see a non-finite bound
+    # refused where it enters: sample, gauss_rule and the map step never see
+    # a non-finite bound or state
     with pytest.raises(ValueError, match="finite"):
         build(value)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Domain("ball", -1.0, 1.0), "unknown domain kind 'ball'"),
+    (lambda: Measure("uniform"), "uniform measure requires a domain"),
+    (lambda: Measure("cauchy", mean=0.0, var=1.0), "unknown measure kind 'cauchy'"),
+    (lambda: sample(uniform(box(-1.0, 1.0)), 0, seed=0), "count must be >= 1"),
+    (lambda: QuadratureRule(np.zeros((1, 3)), np.ones(2) / 2), "node/weight count mismatch"),
+    (lambda: gauss_rule(uniform(box(-1.0, 1.0)), 0), "order must be >= 1"),
+], ids=["domain-kind", "uniform-without-domain", "measure-kind", "no-samples",
+        "rule-counts", "rule-order"])
+def test_malformed_argument_is_value_error(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_box_of_overflowing_width_is_value_error():
