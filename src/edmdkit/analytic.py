@@ -3,7 +3,8 @@
 Builds A = M_T G^{-1}, G the Gram matrix of the dictionary under the reference
 measure and M_T the transfer matrix with entries integral of
 psi_i(T x) conj(psi_j(x)); row i of A, the projection of psi_i o T onto the span,
-comes from ``dictionary._project`` of the rows sqrt(w_k) [psi(x_k)^H | psi(T x_k)^H].
+comes from the least-squares reduction (``dictionary._reduce``) of the rows
+sqrt(w_k) [psi(x_k)^H | psi(T x_k)^H].
 Closed-form integrals are not special-cased: for polynomial maps and
 dictionaries an exact Gauss rule is mathematically equivalent and keeps a
 single code path; for everything else the quadrature order is escalated until
@@ -17,7 +18,7 @@ import warnings
 import numpy as np
 
 from . import systems
-from .dictionary import Dictionary, _project, evaluate_batch
+from .dictionary import Dictionary, _reduce, _solve, evaluate_batch
 from .edmd import KoopmanMatrix
 from .errors import DomainEscapeError, QuadratureSaturationWarning
 from .systems import DynamicalSystem, Measure, QuadratureRule
@@ -61,12 +62,36 @@ def default_quad_order(system: DynamicalSystem, dic: Dictionary) -> int | None:
     return None
 
 
-def _fit(system, dic, measure, order):
-    """A and sigma(R11) under the Gauss rule of ``order`` nodes: row i projects
-    psi_i o T onto the span, singular at max(N, order) eps sigma_max."""
+def _reduction(system, dic, measure, order, f=None):
+    """R of the rows sqrt(w_k) [psi(x_k)^H | f(x_k)^H | psi(T x_k)^H] over the
+    Gauss rule of ``order`` nodes (``dictionary._reduce``), f's (n_f, K) values
+    given by ``f(nodes)``; no f columns without ``f``."""
     rule = systems.gauss_rule(measure, order)
     images = _images(system, rule)
-    return _project(dic, rule, lambda cols: evaluate_batch(dic, images[:, cols]))
+    values = None if f is None else f(rule.nodes)
+
+    def target(cols):
+        t = evaluate_batch(dic, images[:, cols])
+        return t if values is None else np.concatenate([values[:, cols], t])
+
+    return _reduce(dic, rule.nodes, target, rule.weights)[0]
+
+
+def _escalated(system, dic, measure, quad_order=None, f=None):
+    """fit_analytic's reduction: (R, order, [C^H | A^H], sigma(R11)) on the rule
+    of ``quad_order`` nodes, of ``default_quad_order``, or else of the first
+    escalation order whose A agrees with the one before.  Row i of A projects
+    psi_i o T onto the span, row i of C projects f_i (``_reduction``); R11
+    singular at max(N, order) eps sigma_max raises RankDeficiencyError."""
+    n = dic.size
+    fixed = quad_order if quad_order is not None else default_quad_order(system, dic)
+    a_h = None
+    for order in _escalation(n) if fixed is None else [fixed]:
+        prev, r = a_h, _reduction(system, dic, measure, order, f)
+        a_h, s = _solve(r[:n, :n], r[:n, n:], order, what="psi on the rule's nodes")
+        if prev is not None and np.linalg.norm(a_h[:, -n:] - prev[:, -n:]) <= _AGREEMENT:
+            break
+    return r, order, a_h, s
 
 
 def _escalation(size):
@@ -80,7 +105,7 @@ def _escalation(size):
         order *= 2
         yield order
     warnings.warn(f"quadrature saturation: {order} nodes reached without {_AGREEMENT:g} "
-                  "agreement", QuadratureSaturationWarning, stacklevel=3)
+                  "agreement", QuadratureSaturationWarning, stacklevel=4)
 
 
 def fit_analytic(
@@ -94,11 +119,6 @@ def fit_analytic(
     Every dictionary takes the one weighted projection, orthonormal under
     ``measure`` or not; a numerically singular R11 raises RankDeficiencyError.
     """
-    fixed = quad_order if quad_order is not None else default_quad_order(system, dic)
-    a = None
-    for order in _escalation(dic.size) if fixed is None else [fixed]:
-        prev, (a, s) = a, _fit(system, dic, measure, order)
-        if prev is not None and np.linalg.norm(a - prev) <= _AGREEMENT:
-            break
-    return KoopmanMatrix(A=a, dictionary=dic, provenance=f"analytic:order={order}",
+    _, order, a_h, s = _escalated(system, dic, measure, quad_order)
+    return KoopmanMatrix(A=a_h.conj().T, dictionary=dic, provenance=f"analytic:order={order}",
                          sigma_max=float(s[0]), sigma_min=float(s[-1]))

@@ -224,21 +224,24 @@ def _reduce(dic: Dictionary, x, target, w=1.0):
     return np.concatenate([r, np.zeros((r.shape[1] - r.shape[0], r.shape[1]), r.dtype)]), *peaks
 
 
-def _solve(r, n, count, tikhonov=0.0, what=None):
+def _solve(r11, r12, count, tikhonov=0.0, what=None):
     """A^H = pinv(R11) R12 and sigma(R11), descending, by the SVD of the n x n R11:
     s <= max(n, count) eps s_max is dropped, each kept 1/s becomes s / (s^2 + tikhonov).
-    Given ``what``, a numerically singular R11 raises RankDeficiencyError."""
-    u, s, vh = np.linalg.svd(r[:n, :n])
+    Given ``what``, a numerically singular R11 raises RankDeficiencyError.  Both
+    blocks may be views of a larger R (``studies._nested_fits``)."""
+    n = len(r11)
+    u, s, vh = np.linalg.svd(r11)
     if what is not None:
         check_rank(what, s[-1], s[0], max(n, count))
     k = s > max(n, count) * np.finfo(float).eps * s[0]
-    a_h = (u[:, k].conj().T @ r[:n, n:]) / (s[k] + tikhonov / s[k])[:, None]
+    a_h = (u[:, k].conj().T @ r12) / (s[k] + tikhonov / s[k])[:, None]
     return vh[k].conj().T @ a_h, s
 
 
 def _project(dic: Dictionary, rule: QuadratureRule, target):
     """Rows C minimizing sum_k w_k ||C psi(x_k) - t_k||^2 over the K nodes of ``rule``,
     t = ``target(cols)`` per block, and sigma(R11), singular at max(N, K) eps sigma_max."""
+    n = dic.size
     r, _, _ = _reduce(dic, rule.nodes, target, rule.weights)
-    c_h, s = _solve(r, dic.size, rule.size, what="psi on the rule's nodes")
+    c_h, s = _solve(r[:n, :n], r[:n, n:], rule.size, what="psi on the rule's nodes")
     return c_h.conj().T, s

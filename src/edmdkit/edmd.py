@@ -90,8 +90,9 @@ def fit_edmd(snapshots: SnapshotPair, dic: Dictionary, tikhonov: float = 0.0) ->
     """
     if not (np.isfinite(tikhonov) and tikhonov >= 0.0):
         raise ConfigError(f"tikhonov must be a finite nonnegative number, got {tikhonov!r}")
+    n = dic.size
     r, _, _ = _reduction(snapshots, dic)
-    a_h, s = _solve(r, dic.size, snapshots.count, tikhonov)
+    a_h, s = _solve(r[:n, :n], r[:n, n:], snapshots.count, tikhonov)
     prov_tail = snapshots.provenance.split(":", 1)[1]
     kind = "sampled" if not snapshots.is_trajectory else "sampled-trajectory"
     return KoopmanMatrix(
@@ -125,7 +126,7 @@ def theorem1_residual(k: KoopmanMatrix, snapshots: SnapshotPair, dic: Dictionary
     _check_dictionary(k, dic)
     r, _, _ = _reduction(snapshots, dic)
     n, m = dic.size, snapshots.count
-    _solve(r, n, m, what="psi(X) of the snapshot pair")
+    _solve(r[:n, :n], r[:n, n:], m, what="psi(X) of the snapshot pair")
     r11_h = r[:n, :n].conj().T
     return float(np.max(np.abs((r11_h @ r[:n, n:]).conj().T - k.A @ (r11_h @ r[:n, :n])))) / m
 

@@ -132,20 +132,26 @@ def _map(system: DynamicalSystem, pts):
     return out, out.size - int(np.count_nonzero(inside))
 
 
-def _step(system: DynamicalSystem, pts):
+def _step(system: DynamicalSystem, pts, before=None):
     """``_map`` checked: escapes are reported by one DomainEscapeWarning,
     attributed to the caller of the function calling ``_step`` (of
     ``apply_batch``, ``generate_trajectory`` or the rollout), then a
     non-finite image raises NonFiniteError naming the first column it came
     from.  A box step with no escape skips the finiteness pass: every image
-    inside a box is finite."""
+    inside a box is finite.  ``before()``, when given, runs first at a step
+    that reports, one with an escape or a non-finite image: the rollout checks
+    its truth up to the step before there."""
     out, escaped = _map(system, pts)
-    if escaped:
-        warnings.warn(_escape_message(system, escaped, pts.shape[1]), DomainEscapeWarning,
-                      stacklevel=3)
-    if escaped or system.domain.kind == "circle":
-        finite = np.all(np.isfinite(out), axis=0)
-        if not np.all(finite):
+    if not escaped and system.domain.kind != "circle":
+        return out, escaped
+    finite = np.all(np.isfinite(out), axis=0)
+    if escaped or not finite.all():
+        if before is not None:
+            before()
+        if escaped:
+            warnings.warn(_escape_message(system, escaped, pts.shape[1]), DomainEscapeWarning,
+                          stacklevel=3)
+        if not finite.all():
             raise NonFiniteError(f"{system.name}: the image of {pts[:, np.argmin(finite)]} "
                                  "is not finite")
     return out, escaped

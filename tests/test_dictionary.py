@@ -156,7 +156,7 @@ class TestGram:
 
 def _gauss_case(m):
     """legendre:8, the m-node Gauss rule and the target psi o T on its nodes,
-    as ``analytic._fit`` hands them over."""
+    as ``analytic._reduction`` hands them over."""
     dic, rule = legendre(8), gauss_rule(parse_measure("uniform:-1,1"), m)
     images = apply_batch(parse_system("logistic"), rule.nodes)
     return dic, rule, images, lambda cols: evaluate_batch(dic, images[:, cols])
@@ -165,7 +165,7 @@ def _gauss_case(m):
 def _reduction_case(name, m):
     """(R, psi, t, w) for m rows, reduced the way the library's callers hand
     them over: a snapshot pair through ``data._reduction``, a Gauss rule with
-    its weights and a lazy target as in ``analytic._fit``."""
+    its weights and a lazy target as in ``analytic._reduction``."""
     logistic = parse_system("logistic")
     if name == "gauss legendre:8":
         dic, rule, images, target = _gauss_case(m)
@@ -202,7 +202,7 @@ class TestReduceSeams:
         r11, r12 = r[:n, :n], r[:n, n:]
         assert np.max(np.abs(r11.conj().T @ r11 - g)) <= 1e-12 * np.max(np.abs(g))
         assert np.max(np.abs(r11.conj().T @ r12 - b)) <= 1e-12 * np.max(np.abs(g))
-        a_h, _ = _solve(r, n, m)
+        a_h, _ = _solve(r11, r12, m)
         ref = weighted_lstsq(psi, t, w)
         assert np.linalg.norm(a_h - ref) <= 1e-12 * np.linalg.norm(ref)
         diag = np.abs(np.diag(r))

@@ -107,10 +107,13 @@ class TestPredict:
         (np.ones(5), -1, "horizon must be nonnegative"),
     ], ids=["observable-width", "negative-horizon"])
     def test_malformed_input_is_value_error(self, c, horizon, message):
+        # predict and l2_error check their input alike
         dic = parse_dictionary("legendre:4")
         k = fit_analytic(LOGISTIC, dic, UNIFORM11)
         with pytest.raises(ValueError, match=message):
             predict(k, c, [0.3], horizon, dic, LOGISTIC)
+        with pytest.raises(ValueError, match=message):
+            l2_error(k, c, dic, LOGISTIC, gauss_rule(UNIFORM11, 16), horizon)
 
     def test_non_finite_prediction_raises(self):
         # a spectral radius of 1e100 overflows A^i psi at the fourth step
@@ -282,6 +285,34 @@ class TestBlockedRollout:
         blocked = outcome(lambda: [predict(k, cmat, [x0], 400, dic, system)])
         assert blocked[1:] == (message, escapes)
 
+    @pytest.mark.parametrize("horizon", [400, 700])
+    def test_non_finite_truth_inside_the_domain(self, horizon):
+        # psi of 0.5 3^j overflows near step 160, deep inside the wide box,
+        # which the orbit leaves near step 630: the truth up to the step before
+        # is checked ahead of that escape's report, so the blocked rollout
+        # raises the stepwise error with no DomainEscapeWarning
+        system, dic = TRIPLING["inside"], parse_dictionary("legendre:4")
+        k = dataclasses.replace(fit_analytic(LOGISTIC, dic, UNIFORM11), A=np.eye(dic.size))
+        cmat = np.ones((1, dic.size))
+        with np.errstate(over="ignore"):
+            stepwise = outcome(lambda: stepwise_rollout(k, cmat, dic, system,
+                                                        np.array([[0.5]]), horizon))
+            blocked = outcome(lambda: [predict(k, cmat, [0.5], horizon, dic, system)])
+        message = "legendre:4: dictionary evaluation produced non-finite values"
+        assert stepwise[1:] == blocked[1:] == (message, 0)
+
+    def test_non_finite_observable_truth_raises(self):
+        # from x0 = 0 the logistic orbit is -1, 1, 1, ...: a truth f that is
+        # not finite at -1 fails at step 1, naming the point
+        dic = parse_dictionary("legendre:4")
+        k = fit_analytic(LOGISTIC, dic, UNIFORM11)
+        c = coordinate_observable(dic, UNIFORM11)
+        f = lambda p: np.where(p[0] == -1.0, np.inf, p[0])  # noqa: E731
+        with pytest.raises(NonFiniteError, match=r"^the observable at \[-1.\] is not finite$"):
+            PREDICT._predict(k, c, [0.0], 3, dic, LOGISTIC, f)
+        assert PREDICT._predict(k, c, [0.0], 3, dic, LOGISTIC, lambda p: p[0]).truth[:, 0] \
+            .tolist() == [-1.0, 1.0, 1.0]
+
     def test_non_finite_image_raises_the_maps_error(self):
         # legendre:1 is finite at 5e199, so the orbit's own check names the map
         system = DynamicalSystem("grow", box(-1.0, 1.0), forward=lambda x: 1e200 * x,
@@ -330,6 +361,12 @@ class TestObservableMatrix:
         expected = np.zeros(9)
         expected[1] = 1.0 / math.sqrt(3.0)
         assert np.max(np.abs(c[0] - expected)) <= 1e-14
+
+    def test_non_finite_values_raise(self):
+        dic = parse_dictionary("legendre:2")
+        rule = gauss_rule(UNIFORM11, 8)
+        with pytest.raises(NonFiniteError, match=r"^the observable at \[0.18.*\] is not finite$"):
+            observable_matrix(lambda p: np.where(p[0] > 0, np.nan, p[0]), dic, rule)
 
     @pytest.mark.parametrize("order", [32, 4096])
     def test_exact_on_span_members(self, order):

@@ -1,3 +1,4 @@
+import importlib
 import os
 import subprocess
 import sys
@@ -7,8 +8,13 @@ import numpy as np
 import pytest
 
 from edmdkit import (
+    DynamicalSystem,
+    apply_batch,
+    box,
     convergence_sweep,
+    default_quad_order,
     eig,
+    evaluate_batch,
     fit_analytic,
     fit_edmd,
     gauss_rule,
@@ -23,6 +29,7 @@ from edmdkit import (
     predict,
     prediction_study,
     spectra_study,
+    uniform,
 )
 from edmdkit.studies import _median
 
@@ -99,7 +106,12 @@ class TestPredictionStudy:
         analytic = predict(fit_analytic(LOGISTIC, dic, UNIFORM11), c, [0.3], 4, dic, LOGISTIC)
         sampled = predict(sampled_fit(1000, 3, dic), c, [0.3], 4, dic, LOGISTIC)
         assert [row[0] for row in rows] == [1, 2, 3, 4]
-        assert [row[1] for row in rows] == analytic.truth[:, 0].tolist()
+        # the truth is x o T^i, the iterated map itself, not C psi(T^i x0)
+        orbit = [np.array([[0.3]])]
+        for _ in range(4):
+            orbit.append(apply_batch(LOGISTIC, orbit[-1]))
+        assert [row[1] for row in rows] == [complex(x[0, 0]) for x in orbit[1:]]
+        assert np.max(np.abs(np.array([row[1] for row in rows]) - analytic.truth[:, 0])) <= 1e-14
         assert [row[2] for row in rows] == analytic.predicted[:, 0].tolist()
         assert [row[4] for row in rows] == sampled.predicted[:, 0].tolist()
         assert all(len(row) == 5 for row in rows)
@@ -134,3 +146,122 @@ class TestConvergenceSweep:
         rms_an = np.sqrt(np.mean(analytic**2))
         rms_s = np.sqrt(np.mean(sampled**2))
         assert rms_s <= 2.0 * rms_an
+
+
+STUDIES = importlib.import_module("edmdkit.studies")
+ROTATION = parse_system("rotation:omega=0.9")
+CIRCLE = uniform(ROTATION.domain)
+EPS = np.finfo(float).eps
+# the bench's soft-cosine map at shift 0.5: non-polynomial, so its analytic
+# fits escalate
+SOFT_COSINE = DynamicalSystem("soft-cosine", box(-1.0, 1.0), forward=lambda x: np.cos(x) - 0.5,
+                              forward_batch=lambda x: np.cos(x) - 0.5)
+NESTED = {"legendre": (LOGISTIC, UNIFORM11, [3, 5, 9, 17], lambda p: p[0]),
+          "monomial": (LOGISTIC, UNIFORM11, [3, 5, 9], lambda p: np.exp(p[0])),
+          "fourier": (ROTATION, CIRCLE, [1, 3, 7, 11], lambda p: np.exp(1j * p[0]))}
+
+
+def relative_gap(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+class TestNestedFits:
+    """Each N's fit from the one reduction at N_max against the direct fit of
+    its own dictionary: fit_analytic on the same Gauss rule, fit_edmd on the
+    same pair, within kappa(R11) N eps relative."""
+
+    @pytest.mark.parametrize("family", sorted(NESTED))
+    def test_analytic_fits_match_fit_analytic_on_the_same_rule(self, family):
+        system, measure, n_list, f = NESTED[family]
+        fits = STUDIES._nested_fits(system, measure, family, n_list, [], [], f)
+        assert [n for n, _, _ in fits] == n_list
+        order = default_quad_order(system, fits[-1][2][0][2].dictionary)
+        rule = gauss_rule(measure, order)
+        for n, cmat, cells in fits:
+            assert [cell[:2] for cell in cells] == [("analytic", None)]
+            k = cells[0][2]
+            assert k.provenance == f"analytic:order={order}"
+            direct = fit_analytic(system, k.dictionary, measure, quad_order=order)
+            bound = k.condition * n * EPS
+            assert relative_gap(k.A, direct.A) <= bound
+            assert relative_gap(cmat, observable_matrix(f, k.dictionary, rule)) <= bound
+            assert (k.sigma_max, k.sigma_min) == pytest.approx(
+                (direct.sigma_max, direct.sigma_min), rel=bound)
+
+    @pytest.mark.parametrize("family", sorted(NESTED))
+    def test_sampled_fits_match_fit_edmd_on_the_same_pair(self, family):
+        system, measure, n_list, f = NESTED[family]
+        fits = STUDIES._nested_fits(system, measure, family, n_list, [40, 300], [0, 1], f)
+        for n, _, cells in fits:
+            assert [cell[:2] for cell in cells[1:]] == [(40, 0), (40, 1), (300, 0), (300, 1)]
+            for m, seed, k in cells[1:]:
+                direct = fit_edmd(generate_iid(system, measure, m, seed), k.dictionary)
+                assert k.provenance == direct.provenance
+                assert relative_gap(k.A, direct.A) <= k.condition * n * EPS
+
+    def test_each_pair_drawn_once(self, monkeypatch):
+        drawn = []
+
+        def recording(system, measure, count, seed):
+            drawn.append((count, seed))
+            return generate_iid(system, measure, count, seed)
+
+        monkeypatch.setattr(STUDIES, "generate_iid", recording)
+        rows = convergence_sweep(LOGISTIC, UNIFORM11, "legendre", [3, 5, 9], [50, 80], 2,
+                                 lambda p: p[0], [0, 1, 2])
+        assert drawn == [(m, seed) for m in (50, 80) for seed in (0, 1, 2)]
+        assert len(rows) == 3 * (1 + 6) * 2
+
+
+def quadrature_errors(system, measure, family, n, order, f, horizon):
+    """(int |C A^i psi - f o T^i|^2 dmu)^(1/2) for i = 1 .. horizon, from the
+    direct fit and projection of f on the N_max rule of ``order`` nodes,
+    integrated on the sweep's max(128, 2N) nodes along the iterated map."""
+    dic = parse_dictionary(f"{family}:{n - 1}", system.domain)
+    a = fit_analytic(system, dic, measure, quad_order=order).A
+    c = observable_matrix(f, dic, gauss_rule(measure, order))
+    rule = gauss_rule(measure, max(128, 2 * n))
+    z, x, out = evaluate_batch(dic, rule.nodes), rule.nodes, []
+    for _ in range(horizon):
+        z, x = a @ z, apply_batch(system, x)
+        out.append(np.sqrt(np.sum(rule.weights * np.abs(c @ z - f(x)) ** 2)))
+    return np.array(out)
+
+
+class TestSweepTruth:
+    """The sweep scores each prediction against f o T^i, not (C psi) o T^i."""
+
+    @pytest.mark.parametrize("system", [parse_system("affine:a=0.5,b=0"), SOFT_COSINE],
+                             ids=["affine", "soft-cosine"])
+    @pytest.mark.parametrize("f", [lambda p: np.abs(p[0]), lambda p: np.exp(p[0])],
+                             ids=["abs", "exp"])
+    def test_errors_match_direct_quadrature(self, system, f):
+        n_list, horizon = [3, 5, 9, 17], 3
+        rows = convergence_sweep(system, UNIFORM11, "legendre", n_list, [], horizon, f, [])
+        k = fit_analytic(system, parse_dictionary("legendre:16"), UNIFORM11)
+        order = int(k.provenance.rsplit("=", 1)[1])
+        rule = gauss_rule(UNIFORM11, 128)
+        scale = np.sqrt(np.sum(rule.weights * np.abs(f(rule.nodes)) ** 2))  # ||f||
+        for n in n_list:
+            swept = np.array([r.l2_error for r in rows if r.N == n])
+            ref = quadrature_errors(system, UNIFORM11, "legendre", n, order, f, horizon)
+            assert np.all(np.abs(swept - ref) <= 1e-12 * np.maximum(ref, scale))
+        # outside the span the truth is not the projection: the error is not roundoff
+        assert min(r.l2_error for r in rows if r.N == 3) > 1e-3
+
+    def test_rotation_outside_every_span_reports_one(self):
+        # fourier:0 holds only the constant: C = 0 predicts 0 against |e^{i(x+i omega)}| = 1
+        rows = convergence_sweep(ROTATION, CIRCLE, "fourier", [1, 3], [], 2,
+                                 lambda p: np.exp(1j * p[0]), [])
+        assert [r.l2_error for r in rows if r.N == 1] == pytest.approx([1.0, 1.0], abs=1e-12)
+        assert max(r.l2_error for r in rows if r.N == 3) <= 1e-12
+
+    @pytest.mark.parametrize("system", [LOGISTIC, SOFT_COSINE], ids=["logistic", "soft-cosine"])
+    def test_exp_step1_error_falls_strictly(self, system):
+        # the paper's second limit on an observable in no span: e^x o T
+        n_list = [3, 5, 9, 17]
+        rows = convergence_sweep(system, UNIFORM11, "legendre", n_list, [], 1,
+                                 lambda p: np.exp(p[0]), [])
+        step1 = [r.l2_error for r in rows]
+        assert all(a > b for a, b in zip(step1, step1[1:])), step1
+        assert step1[-1] < 1e-8
