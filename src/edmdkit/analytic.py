@@ -3,8 +3,8 @@
 Builds A = M_T G^{-1}, G the Gram matrix of the dictionary under the reference
 measure and M_T the transfer matrix with entries integral of
 psi_i(T x) conj(psi_j(x)); row i of A, the projection of psi_i o T onto the span,
-comes from the least-squares reduction (``dictionary._reduce``) of the rows
-sqrt(w_k) [psi(x_k)^H | psi(T x_k)^H].
+comes from the one weighted projection (``dictionary._project``) of psi o T
+on the rule's nodes.
 Closed-form integrals are not special-cased: for polynomial maps and
 dictionaries an exact Gauss rule is mathematically equivalent and keeps a
 single code path; for everything else the quadrature order is escalated until
@@ -13,14 +13,12 @@ two successive orders agree.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from . import systems
-from .dictionary import Dictionary, _reduce, _solve, evaluate_batch
-from .edmd import KoopmanMatrix
-from .errors import DomainEscapeError, QuadratureSaturationWarning
+from .dictionary import Dictionary, _project, evaluate_batch
+from .edmd import KoopmanMatrix, _koopman
+from .errors import DomainEscapeError, QuadratureSaturationWarning, warn
 from .systems import DynamicalSystem, Measure, QuadratureRule
 
 _MAX_NODES = 2**14
@@ -62,41 +60,35 @@ def default_quad_order(system: DynamicalSystem, dic: Dictionary) -> int | None:
     return None
 
 
-def _reduction(system, dic, measure, order, f=None):
-    """R of the rows sqrt(w_k) [psi(x_k)^H | f(x_k)^H | psi(T x_k)^H] over the
-    Gauss rule of ``order`` nodes (``dictionary._reduce``), f's (n_f, K) values
-    given by ``f(nodes)``; no f columns without ``f``."""
-    rule = systems.gauss_rule(measure, order)
-    images = _images(system, rule)
-    values = None if f is None else f(rule.nodes)
-
-    def target(cols):
-        t = evaluate_batch(dic, images[:, cols])
-        return t if values is None else np.concatenate([values[:, cols], t])
-
-    return _reduce(dic, rule.nodes, target, rule.weights)[0]
-
-
 def _escalated(system, dic, measure, quad_order=None, f=None):
-    """fit_analytic's reduction: (R, order, [C^H | A^H], sigma(R11)) on the rule
-    of ``quad_order`` nodes, of ``default_quad_order``, or else of the first
-    escalation order whose A agrees with the one before.  Row i of A projects
-    psi_i o T onto the span, row i of C projects f_i (``_reduction``); R11
-    singular at max(N, order) eps sigma_max raises RankDeficiencyError."""
+    """fit_analytic's projection (``dictionary._project``): (R, order, rows [C; A],
+    sigma(R11)) on the rule of ``quad_order`` nodes, of ``default_quad_order``,
+    or else of the first escalation order whose A agrees with the one before.
+    R is that of [psi | f | psi o T] on the nodes, f's (n_f, K) values given by
+    ``f(nodes)``: row i of A projects psi_i o T onto the span, row i of C f_i;
+    no C without ``f``."""
     n = dic.size
     fixed = quad_order if quad_order is not None else default_quad_order(system, dic)
-    a_h = None
+    x = None
     for order in _escalation(n) if fixed is None else [fixed]:
-        prev, r = a_h, _reduction(system, dic, measure, order, f)
-        a_h, s = _solve(r[:n, :n], r[:n, n:], order, what="psi on the rule's nodes")
-        if prev is not None and np.linalg.norm(a_h[:, -n:] - prev[:, -n:]) <= _AGREEMENT:
+        rule = systems.gauss_rule(measure, order)
+        images = _images(system, rule)
+        values = None if f is None else f(rule.nodes)
+
+        def target(cols):
+            t = evaluate_batch(dic, images[:, cols])
+            return t if values is None else np.concatenate([values[:, cols], t])
+
+        prev = x
+        r, x, s = _project(dic, rule, target)
+        if prev is not None and np.linalg.norm(x[-n:] - prev[-n:]) <= _AGREEMENT:
             break
-    return r, order, a_h, s
+    return r, order, x, s
 
 
 def _escalation(size):
     """Orders doubling from 64 past N (fewer nodes leave R11 singular) up to
-    ``_MAX_NODES``; running out warns the caller of fit_analytic."""
+    ``_MAX_NODES``; running out warns the library's caller."""
     order = 64
     while order < size:
         order *= 2
@@ -104,8 +96,8 @@ def _escalation(size):
     while order * 2 <= _MAX_NODES:
         order *= 2
         yield order
-    warnings.warn(f"quadrature saturation: {order} nodes reached without {_AGREEMENT:g} "
-                  "agreement", QuadratureSaturationWarning, stacklevel=4)
+    warn(f"quadrature saturation: {order} nodes reached without {_AGREEMENT:g} agreement",
+         QuadratureSaturationWarning)
 
 
 def fit_analytic(
@@ -119,6 +111,5 @@ def fit_analytic(
     Every dictionary takes the one weighted projection, orthonormal under
     ``measure`` or not; a numerically singular R11 raises RankDeficiencyError.
     """
-    _, order, a_h, s = _escalated(system, dic, measure, quad_order)
-    return KoopmanMatrix(A=a_h.conj().T, dictionary=dic, provenance=f"analytic:order={order}",
-                         sigma_max=float(s[0]), sigma_min=float(s[-1]))
+    _, order, x, s = _escalated(system, dic, measure, quad_order)
+    return _koopman(x, s, dic, f"analytic:order={order}")

@@ -225,23 +225,30 @@ def _reduce(dic: Dictionary, x, target, w=1.0):
 
 
 def _solve(r11, r12, count, tikhonov=0.0, what=None):
-    """A^H = pinv(R11) R12 and sigma(R11), descending, by the SVD of the n x n R11:
+    """Rows X = (pinv(R11) R12)^H, the least-squares X psi ~ t of the reduction
+    (``_reduce``), and sigma(R11), descending, by the SVD of the n x n R11:
     s <= max(n, count) eps s_max is dropped, each kept 1/s becomes s / (s^2 + tikhonov).
     Given ``what``, a numerically singular R11 raises RankDeficiencyError.  Both
-    blocks may be views of a larger R (``studies._nested_fits``)."""
+    blocks may be views of a larger R: the leading blocks of a nested dictionary's
+    R solve its own fit (``studies._nested_fits``)."""
     n = len(r11)
     u, s, vh = np.linalg.svd(r11)
     if what is not None:
         check_rank(what, s[-1], s[0], max(n, count))
     k = s > max(n, count) * np.finfo(float).eps * s[0]
     a_h = (u[:, k].conj().T @ r12) / (s[k] + tikhonov / s[k])[:, None]
-    return vh[k].conj().T @ a_h, s
+    return (vh[k].conj().T @ a_h).conj().T, s
+
+
+# what a singular R11 of a quadrature fit is, in its RankDeficiencyError
+_ON_RULE = "psi on the rule's nodes"
 
 
 def _project(dic: Dictionary, rule: QuadratureRule, target):
-    """Rows C minimizing sum_k w_k ||C psi(x_k) - t_k||^2 over the K nodes of ``rule``,
-    t = ``target(cols)`` per block, and sigma(R11), singular at max(N, K) eps sigma_max."""
+    """The one weighted projection: R of the rows sqrt(w_k) [psi(x_k)^H | t_k^H]
+    over the K nodes of ``rule`` (``_reduce``), t = ``target(cols)`` per block,
+    the rows X minimizing sum_k w_k ||X psi(x_k) - t_k||^2 and sigma(R11),
+    singular at max(N, K) eps sigma_max."""
     n = dic.size
     r, _, _ = _reduce(dic, rule.nodes, target, rule.weights)
-    c_h, s = _solve(r[:n, :n], r[:n, n:], rule.size, what="psi on the rule's nodes")
-    return c_h.conj().T, s
+    return r, *_solve(r[:n, :n], r[:n, n:], rule.size, what=_ON_RULE)

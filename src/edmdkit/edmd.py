@@ -92,16 +92,15 @@ def fit_edmd(snapshots: SnapshotPair, dic: Dictionary, tikhonov: float = 0.0) ->
         raise ConfigError(f"tikhonov must be a finite nonnegative number, got {tikhonov!r}")
     n = dic.size
     r, _, _ = _reduction(snapshots, dic)
-    a_h, s = _solve(r[:n, :n], r[:n, n:], snapshots.count, tikhonov)
-    prov_tail = snapshots.provenance.split(":", 1)[1]
     kind = "sampled" if not snapshots.is_trajectory else "sampled-trajectory"
-    return KoopmanMatrix(
-        A=a_h.conj().T,
-        dictionary=dic,
-        provenance=f"{kind}:{prov_tail}",
-        sigma_max=float(s[0]),
-        sigma_min=float(s[-1]),
-    )
+    return _koopman(*_solve(r[:n, :n], r[:n, n:], snapshots.count, tikhonov), dic,
+                    f"{kind}:{snapshots.provenance.split(':', 1)[1]}")
+
+
+def _koopman(x, s, dic: Dictionary, provenance: str) -> KoopmanMatrix:
+    """The one constructor of a fit: A is the last N of the solved rows ``x``
+    (``dictionary._solve``), sigma(R11) = ``s``."""
+    return KoopmanMatrix(x[-dic.size:], dic, provenance, float(s[0]), float(s[-1]))
 
 
 def apply_operator(k: KoopmanMatrix, c_phi) -> np.ndarray:

@@ -1,6 +1,8 @@
-"""Exception and warning types shared across the package, and the rank rule."""
+"""Exception and warning types shared across the package, the rank rule and
+the one way the package warns."""
 
 import sys
+import warnings
 
 
 class EdmdkitError(Exception):
@@ -32,6 +34,15 @@ def check_rank(what, low, high, count):
     cutoff = count * sys.float_info.epsilon * high
     if low <= cutoff:
         raise RankDeficiencyError(what, float("inf") if low <= 0 else high / low, cutoff)
+
+
+def warn(message, category):
+    """``warnings.warn`` attributed to the first frame outside the package's
+    submodules: the line that called the library, however deep the call."""
+    frame, level = sys._getframe(1), 2
+    while frame is not None and frame.f_globals.get("__name__", "").startswith("edmdkit."):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, category, stacklevel=level)
 
 
 class EigensolverError(EdmdkitError):

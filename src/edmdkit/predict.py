@@ -166,4 +166,4 @@ def observable_matrix(f, dic: Dictionary, rule) -> np.ndarray:
     for the rule's K nodes raise ValueError; ``dictionary._project`` raises
     RankDeficiencyError."""
     values = _values(f, rule.nodes, "rule.nodes")
-    return np.ascontiguousarray(_project(dic, rule, lambda cols: values[:, cols])[0])
+    return np.ascontiguousarray(_project(dic, rule, lambda cols: values[:, cols])[1])

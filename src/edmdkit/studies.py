@@ -1,9 +1,11 @@
 """Convergence studies: the paper's statements as tables of study cells.
 
-A sampled cell is one fit K_{N,M} of the pair generate_iid(system, measure,
-M, seed) per (M, seed); ``_draws`` is the one loop that draws the pairs, M
-outer and seeds inner, so every study samples its cells the same way.  Each
-study returns its rows in column order; the CLI writes them as they come.
+Every study takes its cells from one cell builder, ``_nested_fits``: the
+analytic cell K_N, and one sampled cell K_{N,M} of the pair
+generate_iid(system, measure, M, seed) per (M, seed), M outer and seeds
+inner.  Each data source is reduced once and every fit is one solve of
+leading blocks of its R.  Each study returns its rows in column order; the
+CLI writes them as they come.
 
 * ``spectra_study``: sigma(K_{N,M}) against sigma(K_N) as M grows;
 * ``prediction_study``: predictions of K_{N,M} against K_N as M grows;
@@ -18,27 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import systems
-from .analytic import _escalated, fit_analytic
+from .analytic import _escalated
 from .data import _reduction, generate_iid
-from .dictionary import Dictionary, _family_dictionary, _solve
-from .edmd import KoopmanMatrix, fit_edmd
+from .dictionary import _ON_RULE, Dictionary, _family_dictionary, _solve
+from .edmd import _koopman
 from .errors import ConfigError
 from .predict import _l2_error, _predict, _values, observable_matrix
 from .spectral import eig, hausdorff
 from .systems import DynamicalSystem, Measure
-
-
-def _draws(system: DynamicalSystem, measure: Measure, m_list, seeds):
-    """Yield (M, seed, snapshot pair) for every cell; ``seeds`` is a sequence."""
-    for m in m_list:
-        for seed in seeds:
-            yield m, seed, generate_iid(system, measure, m, seed)
-
-
-def _sampled_fits(system: DynamicalSystem, dic: Dictionary, measure: Measure, m_list, seeds):
-    """Yield (M, seed, K_{N,M}) for every cell."""
-    for m, seed, pair in _draws(system, measure, m_list, seeds):
-        yield m, seed, fit_edmd(pair, dic)
 
 
 def _default_observable(system: DynamicalSystem):
@@ -59,11 +48,14 @@ def spectra_study(system: DynamicalSystem, dic: Dictionary, measure: Measure, m_
     """Hausdorff distance between sigma(K_{N,M}) and sigma(K_N) per cell.
 
     Returns (sigma(K_N), {M: sigma(K_{N,M}) of the first seed}, rows) with
-    rows (M, seed, hausdorff); ``quad_order`` goes to ``fit_analytic``.
+    rows (M, seed, hausdorff); K_N is made on a rule of ``quad_order`` nodes
+    when given, as ``fit_analytic`` makes it.
     """
-    spec_an = eig(fit_analytic(system, dic, measure, quad_order=quad_order)).eigenvalues
+    [(_, _, ((_, _, k_an), *sampled))] = _nested_fits(system, measure, [dic], m_list, seeds,
+                                                      quad_order=quad_order)
+    spec_an = eig(k_an).eigenvalues
     first, rows = {}, []
-    for m, seed, k in _sampled_fits(system, dic, measure, m_list, seeds):
+    for m, seed, k in sampled:
         spec = eig(k).eigenvalues
         first.setdefault(m, spec)
         rows.append((m, seed, hausdorff(spec, spec_an)))
@@ -80,9 +72,8 @@ def prediction_study(system: DynamicalSystem, dic: Dictionary, measure: Measure,
     """
     f = _default_observable(system)
     cmat = _observable(f, dic, measure)
-    res_an = _predict(fit_analytic(system, dic, measure), cmat, x0, horizon, dic, system, f)
-    sampled = [_predict(k, cmat, x0, horizon, dic, system, f)
-               for _, _, k in _sampled_fits(system, dic, measure, m_list, [seed])]
+    [(_, _, cells)] = _nested_fits(system, measure, [dic], m_list, [seed])
+    res_an, *sampled = (_predict(k, cmat, x0, horizon, dic, system, f) for _, _, k in cells)
     return list(zip(range(1, horizon + 1), res_an.truth[:, 0].tolist(),
                     res_an.predicted[:, 0].tolist(),
                     *(r.predicted[:, 0].tolist() for r in sampled)))
@@ -103,9 +94,8 @@ def mc_rate_study(system: DynamicalSystem, dic: Dictionary, measure: Measure, m_
 
     Returns (rows, slope) with rows (M, seed, frob_gap).
     """
-    a_n = fit_analytic(system, dic, measure).A
-    rows = [(m, seed, float(np.linalg.norm(k.A - a_n)))
-            for m, seed, k in _sampled_fits(system, dic, measure, m_list, seeds)]
+    [(_, _, ((_, _, k_an), *sampled))] = _nested_fits(system, measure, [dic], m_list, seeds)
+    rows = [(m, seed, float(np.linalg.norm(k.A - k_an.A))) for m, seed, k in sampled]
     medians = [_median([gap for m_row, _, gap in rows if m_row == m]) for m in m_list]
     slope = float(np.polyfit(np.log(m_list), np.log(medians), 1)[0]) if len(m_list) > 1 else 0.0
     return rows, slope
@@ -143,14 +133,13 @@ def convergence_sweep(
     ``m_list`` may be empty for analytic-only studies; the analytic matrix is
     always built (it anchors the Frobenius gap column).
 
-    The families' dictionaries are nested, so every data source is reduced
-    once, at N_max = max(n_list), and each N takes its fit from the leading
-    blocks of that R (``_nested_fits``).  The analytic source is one
-    reduction of [psi | f | psi o T] on the Gauss rule ``fit_analytic`` takes
-    at N_max, which gives A and f's projection C at every N: f is projected,
-    and every fit made, on the N_max rule.  For a map that escalates,
-    agreement between orders is judged at N_max only.  Each sampled pair is
-    drawn once, M outer and seeds inner, and only its R is kept.
+    The families' dictionaries are nested, so the cell builder
+    (``_nested_fits``) reduces every data source once, at N_max = max(n_list),
+    and each N takes its fit from the leading blocks of that R.  The analytic
+    source is one reduction of [psi | f | psi o T] on the Gauss rule
+    ``fit_analytic`` takes at N_max, which gives A and f's projection C at
+    every N: f is projected, and every fit made, on the N_max rule.  For a map
+    that escalates, agreement between orders is judged at N_max only.
 
     ``spectrum_writer``, when given, is called as spectrum_writer(label,
     decomp) -> filename for each cell so the CLI can drop spectrum files next
@@ -160,7 +149,8 @@ def convergence_sweep(
     if sorted(n_list) != list(n_list):
         raise ConfigError("N list must be ascending")
     rows = []
-    for n, cmat, cells in _nested_fits(system, measure, family, n_list, m_list, seeds, f):
+    dics = [_family_dictionary(family, n, system.domain) for n in n_list]
+    for n, cmat, cells in _nested_fits(system, measure, dics, m_list, seeds, f):
         rule = systems.gauss_rule(measure, max(128, 2 * n))
         k_an = cells[0][2]
         for m, seed, k in cells:
@@ -173,38 +163,39 @@ def convergence_sweep(
     return rows
 
 
-def _nested_fits(system, measure, family, n_list, m_list, seeds, f):
-    """[(N, C, cells)] for every N of the ascending ``n_list``: C projects f
-    onto the span, cells are ("analytic", None, K_N) and then (M, seed,
-    K_{N,M}) per draw, all taken from one reduction per data source at N_max.
+def _nested_fits(system: DynamicalSystem, measure: Measure, dics, m_list, seeds, f=None,
+                 quad_order: int | None = None):
+    """The one cell builder: [(N, C, cells)] for each of the nested
+    dictionaries ``dics``, ascending.  Cells are ("analytic", None, K_N) and
+    then (M, seed, K_{N,M}) per pair, M outer and the sequence ``seeds``
+    inner; C projects f onto the span, with no rows without ``f``.
 
+    Each data source is reduced once, at the largest dictionary: the analytic
+    source on the rule ``fit_analytic`` takes there (``analytic._escalated``,
+    at ``quad_order`` nodes when given), each pair by ``data._reduction``.
     W^(1/2) [psi_n(x)^H | t^H] = Q R[:, S] for the columns S of the nested
     psi_n and of its targets t, so R11 = R[:n, :n] and R12 = R[:n, S minus
     psi_n] solve the n-fit as its own reduction would, at the rank count
-    max(n, K) for the K nodes of the rule or max(n, M).  Every fit is made
-    here, so that no R is held while the caller rolls the fits out.
+    max(n, K) for the K nodes of the rule or max(n, M).  R's columns are
+    [psi | f | psi o T], so every R12 is one contiguous block.  Every fit is
+    made here, so that no R is held while the caller rolls the fits out.
     """
-    if not n_list:
+    if not dics:
         return []
-    n_max = n_list[-1]
-    dics = {n: _family_dictionary(family, n, system.domain) for n in n_list}
-    r_an, order, top, s_top = _escalated(system, dics[n_max], measure,
-                                         f=lambda pts: _values(f, pts))
+    n_max = dics[-1].size
+    r_an, order, top, s_top = _escalated(system, dics[-1], measure, quad_order,
+                                         None if f is None else lambda pts: _values(f, pts))
     n_f = r_an.shape[1] - 2 * n_max
-    sampled = [(m, seed, _reduction(pair, dics[n_max])[0])
-               for m, seed, pair in _draws(system, measure, m_list, seeds)]
+    sampled = [(m, seed, _reduction(generate_iid(system, measure, m, seed), dics[-1])[0])
+               for m in m_list for seed in seeds]
     fits = []
-    for n in n_list:
-        c_h, s = (top, s_top) if n == n_max else _solve(
-            r_an[:n, :n], r_an[:n, n_max:n_max + n_f + n], order, what="psi on the rule's nodes")
-        cells = [("analytic", None, _koopman(c_h[:, n_f:], s, dics[n], f"analytic:order={order}"))]
-        cells += [(m, seed, _koopman(*_solve(r[:n, :n], r[:n, n_max:n_max + n], m), dics[n],
+    for dic in dics:
+        n = dic.size
+        x, s = (top, s_top) if n == n_max else _solve(
+            r_an[:n, :n], r_an[:n, n_max:n_max + n_f + n], order, what=_ON_RULE)
+        cells = [("analytic", None, _koopman(x, s, dic, f"analytic:order={order}"))]
+        cells += [(m, seed, _koopman(*_solve(r[:n, :n], r[:n, n_max:n_max + n], m), dic,
                                      f"sampled:seed={seed};M={m}"))
                   for m, seed, r in sampled]
-        fits.append((n, np.ascontiguousarray(c_h[:, :n_f].conj().T), cells))
+        fits.append((n, np.ascontiguousarray(x[:n_f]), cells))
     return fits
-
-
-def _koopman(a_h, s, dic, provenance):
-    """The KoopmanMatrix of A^H = ``a_h`` and sigma(R11) = ``s``."""
-    return KoopmanMatrix(a_h.conj().T, dic, provenance, float(s[0]), float(s[-1]))

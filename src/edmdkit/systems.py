@@ -11,14 +11,13 @@ pure function of its inputs, so values can be shared freely across threads.
 from __future__ import annotations
 
 import math
-import warnings
 from functools import lru_cache
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DomainEscapeWarning, NonFiniteError
+from .errors import ConfigError, DomainEscapeWarning, NonFiniteError, warn
 
 TWO_PI = 2.0 * math.pi
 _CONTAINS_TOL = 1e-9  # box-bound slack before a point counts as escaped
@@ -134,8 +133,7 @@ def _map(system: DynamicalSystem, pts):
 
 def _step(system: DynamicalSystem, pts, before=None):
     """``_map`` checked: escapes are reported by one DomainEscapeWarning,
-    attributed to the caller of the function calling ``_step`` (of
-    ``apply_batch``, ``generate_trajectory`` or the rollout), then a
+    attributed to the caller of the library (``errors.warn``), then a
     non-finite image raises NonFiniteError naming the first column it came
     from.  A box step with no escape skips the finiteness pass: every image
     inside a box is finite.  ``before()``, when given, runs first at a step
@@ -149,8 +147,7 @@ def _step(system: DynamicalSystem, pts, before=None):
         if before is not None:
             before()
         if escaped:
-            warnings.warn(_escape_message(system, escaped, pts.shape[1]), DomainEscapeWarning,
-                          stacklevel=3)
+            warn(_escape_message(system, escaped, pts.shape[1]), DomainEscapeWarning)
         if not finite.all():
             raise NonFiniteError(f"{system.name}: the image of {pts[:, np.argmin(finite)]} "
                                  "is not finite")

@@ -8,22 +8,31 @@ import pytest
 from edmdkit import (
     DomainEscapeWarning,
     DynamicalSystem,
+    KoopmanMatrix,
     NonFiniteError,
+    QuadratureSaturationWarning,
     SnapshotPair,
     apply,
+    apply_batch,
     box,
+    convergence_sweep,
     data,
     eig,
     eigenmeasure_extract,
     evaluate_batch,
+    fit_analytic,
     fit_edmd,
+    gauss_rule,
     generate_iid,
     generate_trajectory,
+    l2_error,
     parse_dictionary,
     parse_measure,
     parse_system,
+    predict,
     read_snapshots_csv,
     residual_scale,
+    spectra_study,
     theorem1_residual,
     write_snapshots_csv,
 )
@@ -97,16 +106,6 @@ class TestGenerateTrajectory:
                 pytest.raises(NonFiniteError, match=r"grow: the image of \[5.e\+199\] is not finite"):
             generate_trajectory(system, [0.5], 5)
 
-    def test_escape_warnings_name_the_caller(self):
-        # from x0 = 0.9 every image of x -> 3x leaves [-1, 1]: one warning per
-        # step, each attributed to this line, not to a line of the library
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            generate_trajectory(parse_system("affine:a=3,b=0"), [0.9], 5)
-        escapes = [w for w in caught if issubclass(w.category, DomainEscapeWarning)]
-        assert len(escapes) == 5
-        assert {w.filename for w in escapes} == {__file__}
-
     def test_no_steps(self):
         with pytest.raises(ValueError, match="count must be >= 1"):
             generate_trajectory(parse_system("logistic"), [0.3], 0)
@@ -114,6 +113,49 @@ class TestGenerateTrajectory:
     def test_trajectory_provenance(self):
         pair = generate_trajectory(parse_system("logistic"), [0.3], 5)
         assert pair.is_trajectory
+
+
+# every image of x -> 3x from 0.9, and from most points of [-1, 1], leaves
+# [-1, 1]; the rough map is so rough that escalation cannot settle before the
+# node cap
+TRIPLING = parse_system("affine:a=3,b=0")
+ROUGH = DynamicalSystem("rough", box(-1.0, 1.0),
+                        forward=lambda x: np.sin(1.0 / (np.abs(x) + 1e-3)) * 0.9,
+                        forward_batch=lambda p: np.sin(1.0 / (np.abs(p) + 1e-3)) * 0.9)
+UNIFORM11 = parse_measure("uniform:-1,1")
+LEGENDRE2, LEGENDRE3 = parse_dictionary("legendre:2"), parse_dictionary("legendre:3")
+IDENTITY_FIT = KoopmanMatrix(np.eye(3), LEGENDRE2, "identity", 1.0, 1.0)
+X_ROW = [0.0, 1.0, 0.0]  # a multiple of x: legendre's psi_1 is sqrt(3) x
+
+# (category, warnings issued, call): each call on one line, which is the line
+# every warning must name
+WARNING_CASES = {
+    "apply_batch": (DomainEscapeWarning, 1, lambda: apply_batch(TRIPLING, np.array([[0.9]]))),
+    "generate_iid": (DomainEscapeWarning, 1, lambda: generate_iid(TRIPLING, UNIFORM11, 5, 0)),
+    "generate_trajectory": (DomainEscapeWarning, 5,
+                            lambda: generate_trajectory(TRIPLING, [0.9], 5)),
+    "predict": (DomainEscapeWarning, 3,
+                lambda: predict(IDENTITY_FIT, X_ROW, [0.9], 3, LEGENDRE2, TRIPLING)),
+    "l2_error": (DomainEscapeWarning, 2, lambda: l2_error(
+        IDENTITY_FIT, X_ROW, LEGENDRE2, TRIPLING, gauss_rule(UNIFORM11, 8), 2)),
+    "fit_analytic": (QuadratureSaturationWarning, 1,
+                     lambda: fit_analytic(ROUGH, LEGENDRE3, UNIFORM11)),
+    "spectra_study": (QuadratureSaturationWarning, 1,
+                      lambda: spectra_study(ROUGH, LEGENDRE3, UNIFORM11, [], [])),
+    "convergence_sweep": (QuadratureSaturationWarning, 1, lambda: convergence_sweep(
+        ROUGH, UNIFORM11, "legendre", [2, 4], [], 1, lambda p: p[0], [])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WARNING_CASES))
+def test_warnings_name_the_caller(name):
+    # the line that called the library, however deep in it the warning was issued
+    category, count, call = WARNING_CASES[name]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        call()
+    named = [(w.filename, w.lineno) for w in caught if issubclass(w.category, category)]
+    assert named == [(__file__, call.__code__.co_firstlineno)] * count
 
 
 class TestSnapshotPairShape:

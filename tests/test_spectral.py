@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from edmdkit import (
+    DynamicalSystem,
     Eigenmeasure,
     EigensolverError,
     KoopmanMatrix,
@@ -201,6 +202,51 @@ class TestRealEigensolver:
         d = eig(k)
         for got, ref in zip((d.eigenvalues, d.eigen_coeffs, d.residuals), complex_eig(k.A)):
             assert np.array_equal(got, ref)
+
+
+# T(x) = cos x - 0.5 sends [-1, 1] into [0.04, 0.5] and has the attracting
+# fixed point x* = 0.41508289494387574.  Koenigs' linearization gives an
+# analytic eigenfunction phi o T = lambda phi with lambda = T'(x*) = -sin x*,
+# and phi^k gives lambda^k; no legendre span holds phi, so sigma(K_N) reaches
+# lambda only as N grows.
+SOFT_COSINE = DynamicalSystem("soft-cosine", box(-1.0, 1.0), forward=lambda x: np.cos(x) - 0.5,
+                              forward_batch=lambda x: np.cos(x) - 0.5)
+SOFT_COSINE_LAMBDA = -0.40326578751629266
+
+
+def eigenvalue_error(k, power=1):
+    """min |sigma(K) - lambda^power| for the soft-cosine lambda."""
+    return float(np.min(np.abs(eig(k).eigenvalues - SOFT_COSINE_LAMBDA ** power)))
+
+
+class TestClosedFormEigenvalues:
+    """sigma(K_N) against the soft-cosine map's lambda and lambda^2.  Each
+    bound is ten times the error measured on the 128-node rule that
+    fit_analytic reaches at every N here."""
+
+    def test_lambda_is_the_fixed_points_slope(self):
+        x_star = 0.41508289494387574
+        assert math.cos(x_star) - 0.5 == pytest.approx(x_star, abs=1e-16)
+        assert -math.sin(x_star) == pytest.approx(SOFT_COSINE_LAMBDA, abs=1e-16)
+
+    # measured: lambda 2.2e-8, 2.4e-12, 4.4e-15; lambda^2 7.9e-7, 3.7e-10, 2.7e-14
+    @pytest.mark.parametrize("n, bound_1, bound_2", [(17, 2.2e-7, 7.9e-6),
+                                                     (25, 2.4e-11, 3.7e-9),
+                                                     (33, 4.4e-14, 2.7e-13)])
+    def test_analytic_spectrum_reaches_lambda_and_its_square(self, n, bound_1, bound_2):
+        k = fit_analytic(SOFT_COSINE, parse_dictionary(f"legendre:{n - 1}"), UNIFORM11)
+        assert eigenvalue_error(k, 1) <= bound_1
+        assert eigenvalue_error(k, 2) <= bound_2
+
+    # measured: 3.21e-4 and 3.23e-4 against 3.23e-4 at N = 9: the sampled error
+    # is the projection's, not sampling's
+    @pytest.mark.parametrize("m", [10**4, 10**5])
+    def test_sampling_does_not_move_lambda(self, m):
+        dic = parse_dictionary("legendre:8")
+        projection = eigenvalue_error(fit_analytic(SOFT_COSINE, dic, UNIFORM11))
+        assert projection == pytest.approx(3.2e-4, rel=0.05)
+        sampled = eigenvalue_error(fit_edmd(generate_iid(SOFT_COSINE, UNIFORM11, m, 1), dic))
+        assert abs(sampled - projection) <= 0.05 * projection
 
 
 class TestHausdorff:

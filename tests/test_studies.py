@@ -161,6 +161,10 @@ NESTED = {"legendre": (LOGISTIC, UNIFORM11, [3, 5, 9, 17], lambda p: p[0]),
           "fourier": (ROTATION, CIRCLE, [1, 3, 7, 11], lambda p: np.exp(1j * p[0]))}
 
 
+def nested(system, family, n_list):
+    return [STUDIES._family_dictionary(family, n, system.domain) for n in n_list]
+
+
 def relative_gap(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
 
@@ -173,7 +177,7 @@ class TestNestedFits:
     @pytest.mark.parametrize("family", sorted(NESTED))
     def test_analytic_fits_match_fit_analytic_on_the_same_rule(self, family):
         system, measure, n_list, f = NESTED[family]
-        fits = STUDIES._nested_fits(system, measure, family, n_list, [], [], f)
+        fits = STUDIES._nested_fits(system, measure, nested(system, family, n_list), [], [], f)
         assert [n for n, _, _ in fits] == n_list
         order = default_quad_order(system, fits[-1][2][0][2].dictionary)
         rule = gauss_rule(measure, order)
@@ -191,13 +195,25 @@ class TestNestedFits:
     @pytest.mark.parametrize("family", sorted(NESTED))
     def test_sampled_fits_match_fit_edmd_on_the_same_pair(self, family):
         system, measure, n_list, f = NESTED[family]
-        fits = STUDIES._nested_fits(system, measure, family, n_list, [40, 300], [0, 1], f)
+        fits = STUDIES._nested_fits(system, measure, nested(system, family, n_list), [40, 300],
+                                    [0, 1], f)
         for n, _, cells in fits:
             assert [cell[:2] for cell in cells[1:]] == [(40, 0), (40, 1), (300, 0), (300, 1)]
             for m, seed, k in cells[1:]:
                 direct = fit_edmd(generate_iid(system, measure, m, seed), k.dictionary)
                 assert k.provenance == direct.provenance
                 assert relative_gap(k.A, direct.A) <= k.condition * n * EPS
+
+    def test_one_dictionary_at_a_fixed_order_is_fit_analytic(self):
+        # the single-N studies pass --order through the cell builder
+        [(n, cmat, cells)] = STUDIES._nested_fits(LOGISTIC, UNIFORM11, [LEGENDRE4], [50], [0],
+                                                  quad_order=20)
+        assert n == 5 and cmat.shape == (0, 5)
+        k, direct = cells[0][2], fit_analytic(LOGISTIC, LEGENDRE4, UNIFORM11, quad_order=20)
+        assert k.A.tobytes() == direct.A.tobytes()
+        assert k.provenance == direct.provenance == "analytic:order=20"
+        assert (k.sigma_max, k.sigma_min) == (direct.sigma_max, direct.sigma_min)
+        assert cells[1][2].A.tobytes() == sampled_fit(50, 0).A.tobytes()
 
     def test_each_pair_drawn_once(self, monkeypatch):
         drawn = []
