@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import systems
-from .dictionary import Dictionary, _project, evaluate_batch
+from .dictionary import _ON_RULE, Dictionary, _project, _solve, evaluate_batch
 from .edmd import KoopmanMatrix, _koopman
 from .errors import DomainEscapeError, QuadratureSaturationWarning, warn
 from .systems import DynamicalSystem, Measure, QuadratureRule
@@ -60,30 +60,38 @@ def default_quad_order(system: DynamicalSystem, dic: Dictionary) -> int | None:
     return None
 
 
-def _escalated(system, dic, measure, quad_order=None, f=None):
-    """fit_analytic's projection (``dictionary._project``): (R, order, rows [C; A],
-    sigma(R11)) on the rule of ``quad_order`` nodes, of ``default_quad_order``,
-    or else of the first escalation order whose A agrees with the one before.
-    R is that of [psi | f | psi o T] on the nodes, f's (n_f, K) values given by
-    ``f(nodes)``: row i of A projects psi_i o T onto the span, row i of C f_i;
-    no C without ``f``."""
-    n = dic.size
-    fixed = quad_order if quad_order is not None else default_quad_order(system, dic)
+def _analytic_fits(system, dics, measure, quad_order=None, f=None):
+    """The one analytic fitter: [(C, K_N)] for the nested dictionaries ``dics``,
+    ascending, from one projection (``dictionary._project``) of [psi | f | psi o T]
+    at N = N_max on the rule of ``quad_order`` nodes, of ``default_quad_order``, or
+    else of the first escalation order whose A agrees with the one before.  Row i of
+    C projects f_i, f's (n_f, K) values given by ``f(nodes)`` (no rows without
+    ``f``); R11 = R[:n, :n] and R12 = R[:n, N:N + n_f + n] solve each smaller n."""
+    n_max = dics[-1].size
+    fixed = quad_order if quad_order is not None else default_quad_order(system, dics[-1])
     x = None
-    for order in _escalation(n) if fixed is None else [fixed]:
+    for order in _escalation(n_max) if fixed is None else [fixed]:
         rule = systems.gauss_rule(measure, order)
         images = _images(system, rule)
         values = None if f is None else f(rule.nodes)
 
         def target(cols):
-            t = evaluate_batch(dic, images[:, cols])
+            t = evaluate_batch(dics[-1], images[:, cols])
             return t if values is None else np.concatenate([values[:, cols], t])
 
         prev = x
-        r, x, s = _project(dic, rule, target)
-        if prev is not None and np.linalg.norm(x[-n:] - prev[-n:]) <= _AGREEMENT:
+        r, x, s = _project(dics[-1], rule, target)
+        if prev is not None and np.linalg.norm(x[-n_max:] - prev[-n_max:]) <= _AGREEMENT:
             break
-    return r, order, x, s
+    n_f = len(x) - n_max
+    fits = []
+    for dic in dics:
+        n = dic.size
+        x_n, s_n = (x, s) if n == n_max else _solve(
+            r[:n, :n], r[:n, n_max:n_max + n_f + n], rule.size, what=_ON_RULE)
+        fits.append((np.ascontiguousarray(x_n[:n_f]),
+                     _koopman(x_n, s_n, dic, f"analytic:order={order}")))
+    return fits
 
 
 def _escalation(size):
@@ -111,5 +119,4 @@ def fit_analytic(
     Every dictionary takes the one weighted projection, orthonormal under
     ``measure`` or not; a numerically singular R11 raises RankDeficiencyError.
     """
-    _, order, x, s = _escalated(system, dic, measure, quad_order)
-    return _koopman(x, s, dic, f"analytic:order={order}")
+    return _analytic_fits(system, [dic], measure, quad_order)[0][1]

@@ -230,7 +230,7 @@ def _solve(r11, r12, count, tikhonov=0.0, what=None):
     s <= max(n, count) eps s_max is dropped, each kept 1/s becomes s / (s^2 + tikhonov).
     Given ``what``, a numerically singular R11 raises RankDeficiencyError.  Both
     blocks may be views of a larger R: the leading blocks of a nested dictionary's
-    R solve its own fit (``studies._nested_fits``)."""
+    R solve its own fit (``edmd._sampled_fits``, ``analytic._analytic_fits``)."""
     n = len(r11)
     u, s, vh = np.linalg.svd(r11)
     if what is not None:

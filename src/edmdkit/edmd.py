@@ -24,7 +24,7 @@ import numpy as np
 from ._table import float_rows, read_table, write_floats, write_table
 from .data import SnapshotPair, _reduction
 from .dictionary import Dictionary, _solve, parse_dictionary
-from .errors import ConfigError
+from .errors import ConfigError, check_rank
 from .systems import Domain, box, circle
 
 
@@ -90,11 +90,19 @@ def fit_edmd(snapshots: SnapshotPair, dic: Dictionary, tikhonov: float = 0.0) ->
     """
     if not (np.isfinite(tikhonov) and tikhonov >= 0.0):
         raise ConfigError(f"tikhonov must be a finite nonnegative number, got {tikhonov!r}")
-    n = dic.size
-    r, _, _ = _reduction(snapshots, dic)
-    kind = "sampled" if not snapshots.is_trajectory else "sampled-trajectory"
-    return _koopman(*_solve(r[:n, :n], r[:n, n:], snapshots.count, tikhonov), dic,
-                    f"{kind}:{snapshots.provenance.split(':', 1)[1]}")
+    return _sampled_fits(snapshots, [dic], tikhonov)[0]
+
+
+def _sampled_fits(pair: SnapshotPair, dics, tikhonov=0.0) -> list[KoopmanMatrix]:
+    """The one sampled fitter: fit_edmd's fit of each nested dictionary ``dics``,
+    ascending, from the pair's one reduction R of [psi(X)^H | psi(Y)^H] at the
+    largest, N: R11 = R[:n, :n] and R12 = R[:n, N:N + n] solve the n-fit."""
+    r, _, _ = _reduction(pair, dics[-1])
+    n_max = dics[-1].size
+    kind = "sampled" if not pair.is_trajectory else "sampled-trajectory"
+    provenance = f"{kind}:{pair.provenance.split(':', 1)[1]}"
+    return [_koopman(*_solve(r[:n, :n], r[:n, n_max:n_max + n], pair.count, tikhonov), dic,
+                     provenance) for dic in dics for n in [dic.size]]
 
 
 def _koopman(x, s, dic: Dictionary, provenance: str) -> KoopmanMatrix:
@@ -125,7 +133,8 @@ def theorem1_residual(k: KoopmanMatrix, snapshots: SnapshotPair, dic: Dictionary
     _check_dictionary(k, dic)
     r, _, _ = _reduction(snapshots, dic)
     n, m = dic.size, snapshots.count
-    _solve(r[:n, :n], r[:n, n:], m, what="psi(X) of the snapshot pair")
+    s = np.linalg.svd(r[:n, :n], compute_uv=False)
+    check_rank("psi(X) of the snapshot pair", s[-1], s[0], max(n, m))
     r11_h = r[:n, :n].conj().T
     return float(np.max(np.abs((r11_h @ r[:n, n:]).conj().T - k.A @ (r11_h @ r[:n, :n])))) / m
 

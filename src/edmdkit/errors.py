@@ -37,10 +37,11 @@ def check_rank(what, low, high, count):
 
 
 def warn(message, category):
-    """``warnings.warn`` attributed to the first frame outside the package's
-    submodules: the line that called the library, however deep the call."""
+    """``warnings.warn`` attributed to the first frame outside the library, the CLI
+    being a caller however it starts: the line that called it, however deep."""
     frame, level = sys._getframe(1), 2
-    while frame is not None and frame.f_globals.get("__name__", "").startswith("edmdkit."):
+    while frame is not None and (name := frame.f_globals.get("__name__", "")).startswith(
+            "edmdkit.") and name != "edmdkit.cli":
         frame, level = frame.f_back, level + 1
     warnings.warn(message, category, stacklevel=level)
 

@@ -3,9 +3,8 @@
 Every study takes its cells from one cell builder, ``_nested_fits``: the
 analytic cell K_N, and one sampled cell K_{N,M} of the pair
 generate_iid(system, measure, M, seed) per (M, seed), M outer and seeds
-inner.  Each data source is reduced once and every fit is one solve of
-leading blocks of its R.  Each study returns its rows in column order; the
-CLI writes them as they come.
+inner.  Each data source is fitted for every N at once by its one fitter.
+Each study returns its rows in column order; the CLI writes them as they come.
 
 * ``spectra_study``: sigma(K_{N,M}) against sigma(K_N) as M grows;
 * ``prediction_study``: predictions of K_{N,M} against K_N as M grows;
@@ -20,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import systems
-from .analytic import _escalated
-from .data import _reduction, generate_iid
-from .dictionary import _ON_RULE, Dictionary, _family_dictionary, _solve
-from .edmd import _koopman
+from .analytic import _analytic_fits
+from .data import generate_iid
+from .dictionary import Dictionary, _family_dictionary
+from .edmd import _sampled_fits
 from .errors import ConfigError
 from .predict import _l2_error, _predict, _values, observable_matrix
 from .spectral import eig, hausdorff
@@ -134,12 +133,10 @@ def convergence_sweep(
     always built (it anchors the Frobenius gap column).
 
     The families' dictionaries are nested, so the cell builder
-    (``_nested_fits``) reduces every data source once, at N_max = max(n_list),
-    and each N takes its fit from the leading blocks of that R.  The analytic
-    source is one reduction of [psi | f | psi o T] on the Gauss rule
-    ``fit_analytic`` takes at N_max, which gives A and f's projection C at
-    every N: f is projected, and every fit made, on the N_max rule.  For a map
-    that escalates, agreement between orders is judged at N_max only.
+    (``_nested_fits``) reduces every data source once, at N_max = max(n_list):
+    f is projected, and every fit made, on the Gauss rule ``fit_analytic``
+    takes at N_max.  For a map that escalates, agreement between orders is
+    judged at N_max only.
 
     ``spectrum_writer``, when given, is called as spectrum_writer(label,
     decomp) -> filename for each cell so the CLI can drop spectrum files next
@@ -170,32 +167,17 @@ def _nested_fits(system: DynamicalSystem, measure: Measure, dics, m_list, seeds,
     then (M, seed, K_{N,M}) per pair, M outer and the sequence ``seeds``
     inner; C projects f onto the span, with no rows without ``f``.
 
-    Each data source is reduced once, at the largest dictionary: the analytic
-    source on the rule ``fit_analytic`` takes there (``analytic._escalated``,
-    at ``quad_order`` nodes when given), each pair by ``data._reduction``.
-    W^(1/2) [psi_n(x)^H | t^H] = Q R[:, S] for the columns S of the nested
-    psi_n and of its targets t, so R11 = R[:n, :n] and R12 = R[:n, S minus
-    psi_n] solve the n-fit as its own reduction would, at the rank count
-    max(n, K) for the K nodes of the rule or max(n, M).  R's columns are
-    [psi | f | psi o T], so every R12 is one contiguous block.  Every fit is
-    made here, so that no R is held while the caller rolls the fits out.
+    Here the pairs are drawn and the cells grouped by N; the fitters
+    ``analytic._analytic_fits`` (at ``quad_order`` nodes when given) and
+    ``edmd._sampled_fits`` make every fit, so no R is held while the caller
+    rolls the fits out.
     """
     if not dics:
         return []
-    n_max = dics[-1].size
-    r_an, order, top, s_top = _escalated(system, dics[-1], measure, quad_order,
-                                         None if f is None else lambda pts: _values(f, pts))
-    n_f = r_an.shape[1] - 2 * n_max
-    sampled = [(m, seed, _reduction(generate_iid(system, measure, m, seed), dics[-1])[0])
+    analytic = _analytic_fits(system, dics, measure, quad_order,
+                              None if f is None else lambda pts: _values(f, pts))
+    sampled = [(m, seed, _sampled_fits(generate_iid(system, measure, m, seed), dics))
                for m in m_list for seed in seeds]
-    fits = []
-    for dic in dics:
-        n = dic.size
-        x, s = (top, s_top) if n == n_max else _solve(
-            r_an[:n, :n], r_an[:n, n_max:n_max + n_f + n], order, what=_ON_RULE)
-        cells = [("analytic", None, _koopman(x, s, dic, f"analytic:order={order}"))]
-        cells += [(m, seed, _koopman(*_solve(r[:n, :n], r[:n, n_max:n_max + n], m), dic,
-                                     f"sampled:seed={seed};M={m}"))
-                  for m, seed, r in sampled]
-        fits.append((n, np.ascontiguousarray(x[:n_f]), cells))
-    return fits
+    return [(dic.size, cmat, [("analytic", None, k_an)]
+             + [(m, seed, fits[i]) for m, seed, fits in sampled])
+            for i, (dic, (cmat, k_an)) in enumerate(zip(dics, analytic))]

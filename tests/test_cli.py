@@ -233,14 +233,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("edmdkit: numerical failure:") and err.count("\n") == 1
 
-    def test_overflowing_map_prints_no_numpy_warning(self, tmp_path):
+    # ``python -m edmdkit.cli`` runs cli.py as __main__; the installed console
+    # script imports it as edmdkit.cli and calls main()
+    @pytest.mark.parametrize("entry", [["-m", "edmdkit.cli"],
+                                       ["-c", "import sys; from edmdkit.cli import main; "
+                                              "sys.exit(main())"]], ids=["-m", "-c"])
+    def test_overflowing_map_prints_no_numpy_warning(self, tmp_path, entry):
         # a fresh interpreter under the default warning filters, which pytest
         # would otherwise capture: the overflow of 2x^2 - 1 reaches stderr only
         # as the failure line (the DomainEscapeWarning before it stays)
-        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
         env.pop("PYTHONWARNINGS", None)
         proc = subprocess.run(
-            [sys.executable, "-m", "edmdkit.cli", "edmd", "--system", "logistic", "--dict",
+            [sys.executable, *entry, "edmd", "--system", "logistic", "--dict",
              "legendre:4", "--measure", "gaussian:0,1e308", "--M", "10",
              "--outdir", str(tmp_path)],
             capture_output=True, text=True, env=env, timeout=120)
@@ -249,9 +255,12 @@ class TestExitCodes:
         *warning, failure = proc.stderr.splitlines()
         assert failure.startswith("edmdkit: numerical failure:")
         # before it only the sampling's one warning, as ``warnings`` prints it:
-        # the location line, then the source line when it can be read
-        assert warning[0].endswith(
-            ": DomainEscapeWarning: logistic: 10 of 10 images left the domain")
+        # the location line, then the source line when it can be read; under
+        # either entry point it names the CLI handler's line that drew the pair
+        cli = (src / "edmdkit" / "cli.py").read_text(encoding="utf-8").splitlines()
+        lineno = 1 + next(i for i, text in enumerate(cli) if "fit_edmd(generate_iid(" in text)
+        assert warning[0] == (f"{src / 'edmdkit' / 'cli.py'}:{lineno}: DomainEscapeWarning: "
+                              "logistic: 10 of 10 images left the domain")
         assert len(warning) <= 2 and all(line.startswith("  ") for line in warning[1:])
 
     @pytest.mark.parametrize("case", ["outdir-is-file", "outdir-under-file", "out-missing-dir"])

@@ -156,9 +156,13 @@ EPS = np.finfo(float).eps
 # fits escalate
 SOFT_COSINE = DynamicalSystem("soft-cosine", box(-1.0, 1.0), forward=lambda x: np.cos(x) - 0.5,
                               forward_batch=lambda x: np.cos(x) - 0.5)
-NESTED = {"legendre": (LOGISTIC, UNIFORM11, [3, 5, 9, 17], lambda p: p[0]),
-          "monomial": (LOGISTIC, UNIFORM11, [3, 5, 9], lambda p: np.exp(p[0])),
-          "fourier": (ROTATION, CIRCLE, [1, 3, 7, 11], lambda p: np.exp(1j * p[0]))}
+# (system, measure, family, N list, f); the soft-cosine N_max fit escalates
+# to 128 nodes, and every smaller N is solved on that rule
+NESTED = {"legendre": (LOGISTIC, UNIFORM11, "legendre", [3, 5, 9, 17], lambda p: p[0]),
+          "monomial": (LOGISTIC, UNIFORM11, "monomial", [3, 5, 9], lambda p: np.exp(p[0])),
+          "fourier": (ROTATION, CIRCLE, "fourier", [1, 3, 7, 11], lambda p: np.exp(1j * p[0])),
+          "soft-cosine": (SOFT_COSINE, UNIFORM11, "legendre", [3, 5, 9, 17],
+                          lambda p: np.exp(p[0]))}
 
 
 def nested(system, family, n_list):
@@ -174,12 +178,16 @@ class TestNestedFits:
     its own dictionary: fit_analytic on the same Gauss rule, fit_edmd on the
     same pair, within kappa(R11) N eps relative."""
 
-    @pytest.mark.parametrize("family", sorted(NESTED))
-    def test_analytic_fits_match_fit_analytic_on_the_same_rule(self, family):
-        system, measure, n_list, f = NESTED[family]
+    @pytest.mark.parametrize("case", sorted(NESTED))
+    def test_analytic_fits_match_fit_analytic_on_the_same_rule(self, case):
+        system, measure, family, n_list, f = NESTED[case]
         fits = STUDIES._nested_fits(system, measure, nested(system, family, n_list), [], [], f)
         assert [n for n, _, _ in fits] == n_list
-        order = default_quad_order(system, fits[-1][2][0][2].dictionary)
+        # the rule the N_max fit took: the exact order, or the escalation's last
+        order = int(fits[-1][2][0][2].provenance.removeprefix("analytic:order="))
+        if case == "soft-cosine":
+            assert default_quad_order(system, fits[-1][2][0][2].dictionary) is None
+            assert order == 128
         rule = gauss_rule(measure, order)
         for n, cmat, cells in fits:
             assert [cell[:2] for cell in cells] == [("analytic", None)]
@@ -192,9 +200,9 @@ class TestNestedFits:
             assert (k.sigma_max, k.sigma_min) == pytest.approx(
                 (direct.sigma_max, direct.sigma_min), rel=bound)
 
-    @pytest.mark.parametrize("family", sorted(NESTED))
-    def test_sampled_fits_match_fit_edmd_on_the_same_pair(self, family):
-        system, measure, n_list, f = NESTED[family]
+    @pytest.mark.parametrize("case", sorted(NESTED))
+    def test_sampled_fits_match_fit_edmd_on_the_same_pair(self, case):
+        system, measure, family, n_list, f = NESTED[case]
         fits = STUDIES._nested_fits(system, measure, nested(system, family, n_list), [40, 300],
                                     [0, 1], f)
         for n, _, cells in fits:
