@@ -19,6 +19,7 @@ from . import systems
 from .dictionary import _ON_RULE, Dictionary, _project, _solve, evaluate_batch
 from .edmd import KoopmanMatrix, _koopman
 from .errors import DomainEscapeError, QuadratureSaturationWarning, warn
+from .predict import _values
 from .systems import DynamicalSystem, Measure, QuadratureRule
 
 _MAX_NODES = 2**14
@@ -48,14 +49,14 @@ def _images(system, rule):
 def default_quad_order(system: DynamicalSystem, dic: Dictionary) -> int | None:
     """Order guaranteeing exact integrals, or None when escalation is needed.
 
-    For a polynomial map of degree t and a polynomial dictionary of size N the
-    worst integrand degree is (N-1)(t+1), covered by max(64, N*t) Gauss nodes.
-    On circle domains the periodic rule is exact for trigonometric integrands
-    of frequency below the node count.
+    Only a polynomial map of degree t on a box, with a polynomial dictionary of
+    size N, has a Gauss rule known to be exact: max(64, N*t) nodes cover the worst
+    integrand degree (N-1)(t+1).  Every other fit escalates, circle fits included:
+    neither the frequencies of psi o T (x -> 5x quintuples them) nor the smoothness
+    of a polynomial dictionary cut at the wrap are known in advance.
     """
-    if dic.domain.kind == "circle":
-        return max(64, 4 * dic.param + 1)
-    if system.polynomial_degree is not None and dic.family in ("legendre", "monomial"):
+    if (system.domain.kind == "box" and system.polynomial_degree is not None
+            and dic.family in ("legendre", "monomial")):
         return max(64, dic.size * system.polynomial_degree)
     return None
 
@@ -65,15 +66,15 @@ def _analytic_fits(system, dics, measure, quad_order=None, f=None):
     ascending, from one projection (``dictionary._project``) of [psi | f | psi o T]
     at N = N_max on the rule of ``quad_order`` nodes, of ``default_quad_order``, or
     else of the first escalation order whose A agrees with the one before.  Row i of
-    C projects f_i, f's (n_f, K) values given by ``f(nodes)`` (no rows without
-    ``f``); R11 = R[:n, :n] and R12 = R[:n, N:N + n_f + n] solve each smaller n."""
+    C projects f_i, f's (n_f, K) values on the K nodes (``predict._values``; no rows
+    without ``f``); R11 = R[:n, :n] and R12 = R[:n, N:N + n_f + n] solve each smaller n."""
     n_max = dics[-1].size
     fixed = quad_order if quad_order is not None else default_quad_order(system, dics[-1])
     x = None
     for order in _escalation(n_max) if fixed is None else [fixed]:
         rule = systems.gauss_rule(measure, order)
         images = _images(system, rule)
-        values = None if f is None else f(rule.nodes)
+        values = None if f is None else _values(f, rule.nodes)
 
         def target(cols):
             t = evaluate_batch(dics[-1], images[:, cols])

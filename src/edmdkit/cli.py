@@ -43,11 +43,11 @@ from .data import generate_iid, generate_trajectory
 from .dictionary import _family_dictionary, parse_dictionary
 from .edmd import fit_edmd, write_koopman_csv
 from .errors import ConfigError, EdmdkitError
-from .predict import predict
+from .predict import observable_matrix, predict
 from .spectral import (eig, eigenmeasure_extract, pf_check, write_eigenmeasure_csv,
                        write_spectrum_csv)
-from .studies import (_default_observable, _observable, convergence_sweep, mc_rate_study,
-                      prediction_study, spectra_study)
+from .studies import (_default_observable, convergence_sweep, mc_rate_study, prediction_study,
+                      spectra_study)
 from .svgplot import write_spectrum_svg
 
 OUTDIR_ENV = "EDMDKIT_OUTDIR"
@@ -337,7 +337,8 @@ def _cmd_spectrum(args):
 def _cmd_predict(args):
     system, dic, measure = _parse_triple(args)
     k = _fit_for(args, system, dic, measure)
-    result = predict(k, _observable(_default_observable(system), dic, measure), [args.x0],
+    rule = systems.gauss_rule(measure, max(64, 2 * dic.size))
+    result = predict(k, observable_matrix(_default_observable(system), dic, rule), [args.x0],
                      args.horizon, dic, system)
     columns = ["step", "truth_re", "truth_im", "pred_re", "pred_im", "abs_error"]
     rows = zip(range(1, result.horizon + 1), result.truth[:, 0].tolist(),

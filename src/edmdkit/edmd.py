@@ -46,7 +46,8 @@ class KoopmanMatrix:
 
     A: np.ndarray
     dictionary: Dictionary
-    provenance: str  # "sampled:M=<M>;seed=<s>" | "analytic:order=<n>" | ...
+    # "sampled:seed=<s>;M=<M>" | "sampled-trajectory:x0=<x0>;M=<M>" | "analytic:order=<n>"
+    provenance: str
     sigma_max: float
     sigma_min: float
 

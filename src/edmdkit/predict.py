@@ -58,8 +58,7 @@ def _values(f, points, name="points") -> np.ndarray:
     return values
 
 
-def _rollout(k: KoopmanMatrix, cmat, dic: Dictionary, system: DynamicalSystem, points,
-             horizon: int, f=None):
+def _rollout(k: KoopmanMatrix, cmat, system: DynamicalSystem, points, horizon: int, f=None):
     """Yield (C A^i psi(points), f(T^i points)) for i = 1 .. horizon, each
     (n, M): the Koopman prediction and the truth at every column of ``points``,
     the truth along the orbit of checked map steps (``systems._step``).  The
@@ -73,10 +72,9 @@ def _rollout(k: KoopmanMatrix, cmat, dic: Dictionary, system: DynamicalSystem, p
     report, and at the block's end (``_values``).  So the NonFiniteError raised
     and the DomainEscapeWarnings issued are those of stepping and evaluating
     one step at a time, the prediction check of a step before its truth.  Only
-    the A z recurrence is sequential.  ``dic`` must be the fit's own dictionary
-    (ValueError otherwise).
+    the A z recurrence is sequential.  psi is the fit's own dictionary.
     """
-    _check_dictionary(k, dic)
+    dic = k.dictionary
     if f is None:
         def f(pts):
             return cmat @ evaluate_batch(dic, pts)
@@ -116,19 +114,20 @@ def predict(k: KoopmanMatrix, c, x0, horizon: int, dic: Dictionary,
     """Iterate the Koopman prediction and the true dynamics side by side: the
     rollout of ``l2_error`` from the one point x0.
 
-    ``system`` supplies the truth trajectory; it must be the map the matrix
-    was fitted to for the error column to mean anything.
+    ``system``, the map the matrix was fitted to, supplies the truth trajectory;
+    ``dic`` must be the fit's own dictionary (ValueError otherwise).
     """
-    return _predict(k, _as_observable_rows(c, dic.size), x0, horizon, dic, system)
+    _check_dictionary(k, dic)
+    return _predict(k, _as_observable_rows(c, dic.size), x0, horizon, system)
 
 
-def _predict(k, cmat, x0, horizon, dic, system, f=None) -> PredictionResult:
+def _predict(k, cmat, x0, horizon, system, f=None) -> PredictionResult:
     """``predict`` against the truth f o T^i (``_rollout``)."""
     _check_horizon(horizon)
     x = as_state(x0)
     predicted = np.empty((horizon, cmat.shape[0]), dtype=complex)
     truth = np.empty_like(predicted)
-    for i, (pred, true) in enumerate(_rollout(k, cmat, dic, system, x[:, None], horizon, f)):
+    for i, (pred, true) in enumerate(_rollout(k, cmat, system, x[:, None], horizon, f)):
         predicted[i], truth[i] = pred[:, 0], true[:, 0]
     errors = np.linalg.norm(predicted - truth, axis=1)
     return PredictionResult(horizon, predicted, truth, errors)
@@ -139,16 +138,17 @@ def l2_error(k: KoopmanMatrix, c, dic: Dictionary, system: DynamicalSystem,
     """Per-step root integrals (int ||C A^i psi - f o T^i||^2 dmu)^(1/2) for
     f = C psi, the integrals taken with ``rule``: a Gauss rule of the measure,
     or M samples of it with weights 1/M for Monte Carlo.  Horizon 0 returns an
-    empty vector; a negative horizon is a ValueError.
+    empty vector; a negative horizon or a ``dic`` not the fit's is a ValueError.
     """
-    return _l2_error(k, _as_observable_rows(c, dic.size), dic, system, rule, horizon)
+    _check_dictionary(k, dic)
+    return _l2_error(k, _as_observable_rows(c, dic.size), system, rule, horizon)
 
 
-def _l2_error(k, cmat, dic, system, rule, horizon, f=None) -> np.ndarray:
+def _l2_error(k, cmat, system, rule, horizon, f=None) -> np.ndarray:
     """``l2_error`` against the truth f o T^i (``_rollout``)."""
     _check_horizon(horizon)
     out = np.empty(horizon)
-    for i, (pred, true) in enumerate(_rollout(k, cmat, dic, system, rule.nodes, horizon, f)):
+    for i, (pred, true) in enumerate(_rollout(k, cmat, system, rule.nodes, horizon, f)):
         out[i] = np.sqrt(float(np.sum(rule.weights * np.sum(np.abs(pred - true) ** 2, axis=0))))
     return out
 

@@ -24,7 +24,7 @@ from .data import generate_iid
 from .dictionary import Dictionary, _family_dictionary
 from .edmd import _sampled_fits
 from .errors import ConfigError
-from .predict import _l2_error, _predict, _values, observable_matrix
+from .predict import _l2_error, _predict
 from .spectral import eig, hausdorff
 from .systems import DynamicalSystem, Measure
 
@@ -34,12 +34,6 @@ def _default_observable(system: DynamicalSystem):
     if system.domain.kind == "circle":
         return lambda pts: np.exp(1j * pts[0])
     return lambda pts: pts[0]
-
-
-def _observable(f, dic: Dictionary, measure: Measure) -> np.ndarray:
-    """Coefficients of f, projected with a Gauss rule of at least twice the
-    dictionary size."""
-    return observable_matrix(f, dic, systems.gauss_rule(measure, max(64, 2 * dic.size)))
 
 
 def spectra_study(system: DynamicalSystem, dic: Dictionary, measure: Measure, m_list, seeds,
@@ -65,14 +59,14 @@ def prediction_study(system: DynamicalSystem, dic: Dictionary, measure: Measure,
                      seed: int, x0, horizon: int) -> list:
     """Predictions of the default observable f (the state coordinate, or
     e^{ix} on a circle) from x0 by K_N and by K_{N,M} for each M, against the
-    truth f(T^i x0) of the iterated map.
+    truth f(T^i x0) of the iterated map.  Every cell predicts from the C that
+    projects f on the rule of the analytic cell, from the same reduction as K_N.
 
     Rows (step, truth, analytic, one prediction per M), complex values.
     """
     f = _default_observable(system)
-    cmat = _observable(f, dic, measure)
-    [(_, _, cells)] = _nested_fits(system, measure, [dic], m_list, [seed])
-    res_an, *sampled = (_predict(k, cmat, x0, horizon, dic, system, f) for _, _, k in cells)
+    [(_, cmat, cells)] = _nested_fits(system, measure, [dic], m_list, [seed], f)
+    res_an, *sampled = (_predict(k, cmat, x0, horizon, system, f) for _, _, k in cells)
     return list(zip(range(1, horizon + 1), res_an.truth[:, 0].tolist(),
                     res_an.predicted[:, 0].tolist(),
                     *(r.predicted[:, 0].tolist() for r in sampled)))
@@ -154,7 +148,7 @@ def convergence_sweep(
             gap = None if k is k_an else float(np.linalg.norm(k.A - k_an.A))
             label = f"analytic_N{n}" if k is k_an else f"sampled_N{n}_M{m}_seed{seed}"
             fname = spectrum_writer(label, eig(k)) if spectrum_writer else ""
-            errs = _l2_error(k, cmat, k.dictionary, system, rule, horizon, f)
+            errs = _l2_error(k, cmat, system, rule, horizon, f)
             rows.extend(SweepRow(n, str(m), seed, step, float(e), gap, fname)
                         for step, e in enumerate(errs, start=1))
     return rows
@@ -174,8 +168,7 @@ def _nested_fits(system: DynamicalSystem, measure: Measure, dics, m_list, seeds,
     """
     if not dics:
         return []
-    analytic = _analytic_fits(system, dics, measure, quad_order,
-                              None if f is None else lambda pts: _values(f, pts))
+    analytic = _analytic_fits(system, dics, measure, quad_order, f)
     sampled = [(m, seed, _sampled_fits(generate_iid(system, measure, m, seed), dics))
                for m in m_list for seed in seeds]
     return [(dic.size, cmat, [("analytic", None, k_an)]

@@ -25,7 +25,7 @@ from edmdkit import (
     uniform,
 )
 from edmdkit.dictionary import _BLOCK
-from edmdkit.systems import DynamicalSystem, box
+from edmdkit.systems import DynamicalSystem, box, circle
 
 from _oracles import quadrature_projection
 
@@ -37,6 +37,11 @@ SOFT_COSINE = DynamicalSystem(  # no exact Gauss rule: fit_analytic escalates
     forward=lambda x: np.cos(x) - 0.5,
     forward_batch=lambda p: np.cos(p) - 0.5,
 )
+ROTATION = parse_system("rotation:omega=0.9")
+CIRCLE = uniform(ROTATION.domain)
+# psi_k o T has mode 5k: a periodic rule sized by the dictionary alone aliases it
+QUINTUPLE = DynamicalSystem("quintuple", circle(), forward=lambda x: 5.0 * x,
+                            forward_batch=lambda x: 5.0 * x)
 
 
 class TestTransferMatrix:
@@ -149,7 +154,35 @@ class TestFitAnalytic:
         big = parse_dictionary("legendre:40")
         assert default_quad_order(LOGISTIC, big) == 82
         rot = parse_system("rotation:omega=0.2")
-        assert default_quad_order(rot, parse_dictionary("fourier:2", rot.domain)) == 64
+        assert default_quad_order(rot, parse_dictionary("fourier:2", rot.domain)) is None
+        # a declared polynomial degree makes no Gauss rule exact on the circle,
+        # where the wrapped image of a polynomial is not a polynomial
+        doubling = DynamicalSystem("doubling", circle(), forward=lambda x: 2.0 * x,
+                                   forward_batch=lambda x: 2.0 * x, polynomial_degree=1)
+        assert default_quad_order(doubling, parse_dictionary("legendre:8", circle())) is None
+
+    @pytest.mark.parametrize("spec", ["legendre:8", "monomial:6"])
+    def test_circle_polynomial_dictionary_escalates_to_the_cap(self, spec):
+        # cut at the wrap, psi o T is discontinuous: no rule agrees to 1e-12
+        with pytest.warns(QuadratureSaturationWarning):
+            k = fit_analytic(ROTATION, parse_dictionary(spec, ROTATION.domain), CIRCLE)
+        assert k.provenance == "analytic:order=16384"
+
+    def test_circle_fourier_fit_of_an_aliasing_map(self):
+        dic = parse_dictionary("fourier:20", QUINTUPLE.domain)
+        k = fit_analytic(QUINTUPLE, dic, CIRCLE)
+        k_ref = fit_analytic(QUINTUPLE, dic, CIRCLE, quad_order=4096)
+        assert np.max(np.abs(k.A - k_ref.A)) <= 1e-12
+
+    # a rotation keeps every Fourier mode: the first two escalation orders
+    # are both exact and agree
+    @pytest.mark.parametrize("spec, order", [("fourier:2", 128), ("fourier:40", 256)])
+    def test_rotation_fourier_fit_is_diagonal(self, spec, order):
+        dic = parse_dictionary(spec, ROTATION.domain)
+        k = fit_analytic(ROTATION, dic, CIRCLE)
+        assert k.provenance == f"analytic:order={order}"
+        expected = np.diag(np.exp(0.9j * dic.fourier_modes()))
+        assert np.max(np.abs(k.A - expected)) <= 1e-12
 
     @pytest.mark.parametrize("spec", ["legendre:4", "monomial:4"])
     def test_escalation_for_nonpolynomial_map(self, spec):

@@ -309,8 +309,8 @@ class TestBlockedRollout:
         c = coordinate_observable(dic, UNIFORM11)
         f = lambda p: np.where(p[0] == -1.0, np.inf, p[0])  # noqa: E731
         with pytest.raises(NonFiniteError, match=r"^the observable at \[-1.\] is not finite$"):
-            PREDICT._predict(k, c, [0.0], 3, dic, LOGISTIC, f)
-        assert PREDICT._predict(k, c, [0.0], 3, dic, LOGISTIC, lambda p: p[0]).truth[:, 0] \
+            PREDICT._predict(k, c, [0.0], 3, LOGISTIC, f)
+        assert PREDICT._predict(k, c, [0.0], 3, LOGISTIC, lambda p: p[0]).truth[:, 0] \
             .tolist() == [-1.0, 1.0, 1.0]
 
     def test_non_finite_image_raises_the_maps_error(self):

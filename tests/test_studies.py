@@ -31,6 +31,8 @@ from edmdkit import (
     spectra_study,
     uniform,
 )
+from edmdkit.analytic import _analytic_fits
+from edmdkit.predict import _predict
 from edmdkit.studies import _median
 
 LOGISTIC = parse_system("logistic")
@@ -102,8 +104,9 @@ class TestPredictionStudy:
     def test_cell_matches_direct_predict(self):
         dic = parse_dictionary("legendre:8")
         rows = prediction_study(LOGISTIC, dic, UNIFORM11, [100, 1000], 3, [0.3], 4)
-        c = coordinate_observable(dic, UNIFORM11)  # max(64, 2N) = 64 nodes
-        analytic = predict(fit_analytic(LOGISTIC, dic, UNIFORM11), c, [0.3], 4, dic, LOGISTIC)
+        # C projects x on the analytic cell's rule, from the reduction of K_N
+        [(c, k_an)] = _analytic_fits(LOGISTIC, [dic], UNIFORM11, None, lambda p: p[0])
+        analytic = predict(k_an, c, [0.3], 4, dic, LOGISTIC)
         sampled = predict(sampled_fit(1000, 3, dic), c, [0.3], 4, dic, LOGISTIC)
         assert [row[0] for row in rows] == [1, 2, 3, 4]
         # the truth is x o T^i, the iterated map itself, not C psi(T^i x0)
@@ -115,6 +118,16 @@ class TestPredictionStudy:
         assert [row[2] for row in rows] == analytic.predicted[:, 0].tolist()
         assert [row[4] for row in rows] == sampled.predicted[:, 0].tolist()
         assert all(len(row) == 5 for row in rows)
+
+    def test_escalated_cell_predicts_with_its_fitters_c(self):
+        # soft-cosine escalates to 128 nodes; C comes from that rule too
+        dic = parse_dictionary("legendre:8")
+        rows = prediction_study(SOFT_COSINE, dic, UNIFORM11, [100], 0, [0.3], 5)
+        [(c, k)] = _analytic_fits(SOFT_COSINE, [dic], UNIFORM11, None, lambda p: p[0])
+        assert k.provenance == "analytic:order=128"
+        direct = _predict(k, c, [0.3], 5, SOFT_COSINE, lambda p: p[0])
+        assert [row[1] for row in rows] == direct.truth[:, 0].tolist()
+        assert [row[2] for row in rows] == direct.predicted[:, 0].tolist()
 
 
 class TestConvergenceSweep:
