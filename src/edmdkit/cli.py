@@ -13,7 +13,8 @@ thread counts CI checks the README commands and one larger sampled study.
 
 Configuration files are plain ``key=value`` lines mirroring the long option
 names one-to-one, a switch being on for ``true``/``yes`` and off for
-``false``/``no``; command-line flags override file values.  Exit status is 1
+``false``/``no``; command-line flags override file values, and of several
+``--config`` flags the last is read.  Exit status is 1
 for configuration errors, output paths that cannot be created included, and 2
 for every other library error, a numerical failure (rank deficiency,
 eigensolver breakdown, quadrature nodes leaving the domain, non-finite map
@@ -22,6 +23,8 @@ images, dictionary values or predictions), never a traceback.
 Handlers are parse -> call -> write: each parses its arguments, calls the
 library (each study is one call into :mod:`edmdkit.studies`) and writes what
 comes back; no handler loops over sample counts, dictionary sizes or seeds.
+``predict`` scores like ``study prediction``: against the orbit f(T^i x0) of the
+default observable, not against the projection (C psi)(T^i x0).
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .data import generate_iid, generate_trajectory
 from .dictionary import _family_dictionary, parse_dictionary
 from .edmd import fit_edmd, write_koopman_csv
 from .errors import ConfigError, EdmdkitError
-from .predict import observable_matrix, predict
+from .predict import _predict, observable_matrix
 from .spectral import (eig, eigenmeasure_extract, pf_check, write_eigenmeasure_csv,
                        write_spectrum_csv)
 from .studies import (_default_observable, convergence_sweep, mc_rate_study, prediction_study,
@@ -226,22 +229,16 @@ def _load_config_entries(path):
 
 
 def _inject_config(argv):
-    """Splice config-file tokens in front of the explicit flags.  The command
-    line wins: a file entry is dropped when the command line gives that
-    option, or any option of ``_FIT_CHOICE`` for an entry in it."""
-    path = None
-    for i, tok in enumerate(argv):
-        if tok == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-            break
-        if tok.startswith("--config="):
-            path = tok.split("=", 1)[1]
-            break
+    """Splice the tokens of the config file argparse keeps (the last
+    ``--config`` given) in front of the explicit flags.  The command line wins:
+    a file entry is dropped when the command line gives that option, or any
+    option of ``_FIT_CHOICE`` for an entry in it."""
+    finder = _Parser(add_help=False)
+    finder.add_argument("--config")
+    path = finder.parse_known_args(argv)[0].config
     if path is None:
         return argv
-    split = 0
-    while split < len(argv) and not argv[split].startswith("-"):
-        split += 1
+    split = next((i for i, tok in enumerate(argv) if tok.startswith("-")), len(argv))
     given = {tok[2:].partition("=")[0] for tok in argv if tok.startswith("--")}
     if given & _FIT_CHOICE.keys():
         given |= _FIT_CHOICE.keys()
@@ -337,9 +334,9 @@ def _cmd_spectrum(args):
 def _cmd_predict(args):
     system, dic, measure = _parse_triple(args)
     k = _fit_for(args, system, dic, measure)
-    rule = systems.gauss_rule(measure, max(64, 2 * dic.size))
-    result = predict(k, observable_matrix(_default_observable(system), dic, rule), [args.x0],
-                     args.horizon, dic, system)
+    f = _default_observable(system)
+    cmat = observable_matrix(f, dic, systems.gauss_rule(measure, max(64, 2 * dic.size)))
+    result = _predict(k, cmat, [args.x0], args.horizon, system, f)
     columns = ["step", "truth_re", "truth_im", "pred_re", "pred_im", "abs_error"]
     rows = zip(range(1, result.horizon + 1), result.truth[:, 0].tolist(),
                result.predicted[:, 0].tolist(), result.errors.tolist())

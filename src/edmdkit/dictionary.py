@@ -227,15 +227,12 @@ def _reduce(dic: Dictionary, x, target, w=1.0):
 def _solve(r11, r12, count, tikhonov=0.0, what=None):
     """Rows X = (pinv(R11) R12)^H, the least-squares X psi ~ t of the reduction
     (``_reduce``), and sigma(R11), descending, by the SVD of the n x n R11:
-    s <= max(n, count) eps s_max is dropped, each kept 1/s becomes s / (s^2 + tikhonov).
-    Given ``what``, a numerically singular R11 raises RankDeficiencyError.  Both
+    s at or below ``check_rank``'s cutoff is dropped, each kept 1/s becomes
+    s / (s^2 + tikhonov).  Given ``what``, ``check_rank`` raises instead.  Both
     blocks may be views of a larger R: the leading blocks of a nested dictionary's
     R solve its own fit (``edmd._sampled_fits``, ``analytic._analytic_fits``)."""
-    n = len(r11)
     u, s, vh = np.linalg.svd(r11)
-    if what is not None:
-        check_rank(what, s[-1], s[0], max(n, count))
-    k = s > max(n, count) * np.finfo(float).eps * s[0]
+    k = s > check_rank(what, s[-1], s[0], len(r11), count)
     a_h = (u[:, k].conj().T @ r12) / (s[k] + tikhonov / s[k])[:, None]
     return (vh[k].conj().T @ a_h).conj().T, s
 

@@ -135,7 +135,7 @@ def theorem1_residual(k: KoopmanMatrix, snapshots: SnapshotPair, dic: Dictionary
     r, _, _ = _reduction(snapshots, dic)
     n, m = dic.size, snapshots.count
     s = np.linalg.svd(r[:n, :n], compute_uv=False)
-    check_rank("psi(X) of the snapshot pair", s[-1], s[0], max(n, m))
+    check_rank("psi(X) of the snapshot pair", s[-1], s[0], n, m)
     r11_h = r[:n, :n].conj().T
     return float(np.max(np.abs((r11_h @ r[:n, n:]).conj().T - k.A @ (r11_h @ r[:n, :n])))) / m
 

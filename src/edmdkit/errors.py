@@ -27,13 +27,15 @@ class RankDeficiencyError(EdmdkitError):
         )
 
 
-def check_rank(what, low, high, count):
-    """Raise RankDeficiencyError when ``low <= count * eps * high``, ``low`` and
-    ``high`` the extreme singular values of R11, the N x N factor of a reduction
-    of M points or nodes whose Gram matrix is R11^H R11; ``count`` is max(N, M)."""
-    cutoff = count * sys.float_info.epsilon * high
-    if low <= cutoff:
+def check_rank(what, low, high, n, count):
+    """The one rank cutoff max(n, count) eps high, returned: ``low`` and ``high``
+    are the extreme singular values of R11, the n x n factor of a reduction of
+    ``count`` points or nodes whose Gram matrix is R11^H R11.  Given ``what``,
+    ``low <= cutoff`` raises RankDeficiencyError naming it."""
+    cutoff = max(n, count) * sys.float_info.epsilon * high
+    if what is not None and low <= cutoff:
         raise RankDeficiencyError(what, float("inf") if low <= 0 else high / low, cutoff)
+    return cutoff
 
 
 def warn(message, category):

@@ -161,7 +161,7 @@ def eigenmeasure_extract(
         raise ValueError(
             f"eigenmeasure extraction requires M = N, got M={snapshots.count}, N={n}"
         )
-    check_rank("psi(X) in the M = N regime", k.sigma_min, k.sigma_max, n)
+    check_rank("psi(X) in the M = N regime", k.sigma_min, k.sigma_max, n, n)
     # phi at the atoms, then at T x_N, the last Y column: no re-application of the map
     phi = eigenfunction_values(decomp, j, k.dictionary,
                                np.hstack([snapshots.X, snapshots.Y[:, -1:]]))

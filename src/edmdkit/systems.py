@@ -389,6 +389,8 @@ def _system(name, domain, step, degree=None):
 
 
 def _number(text, spec):
+    if text != text.strip():  # float() reads past blanks; the output header splits on them
+        raise ConfigError(f"identifiers take no blanks, got {spec!r}")
     try:
         value = float(text)
     except ValueError as exc:
@@ -404,9 +406,9 @@ def _parse_kv(body, spec, *names):
     out = {}
     for part in body.split(",") if body else []:
         k, eq, v = part.partition("=")
-        if not eq or k.strip() in out:
+        if not eq or k in out:
             raise ConfigError(f"malformed or repeated parameter {part!r} in {spec!r}")
-        out[k.strip()] = _number(v, spec)
+        out[k] = _number(v, spec)
     if set(out) != set(names):
         form = ",".join(f"{n}=<float>" for n in names) or "no parameters"
         raise ConfigError(f"{spec.partition(':')[0]} takes {form}, got {spec!r}")

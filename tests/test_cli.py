@@ -203,6 +203,11 @@ class TestExitCodes:
         ["edmd", *TRIPLE, "--M", "abc"],
         ["predict", *TRIPLE, "--x0", "abc", "--horizon", "3", "--analytic"],
         ["eigenmeasure", "--system", "logistic", "--family", "sine", "--N", "1", "--x0", "0.3"],
+        # identifiers take no blanks, so the header's blank-split fields name the cell
+        ["analytic", "--system", "rotation:omega = 0.5", "--dict", "fourier:2",
+         "--measure", "uniform:0,6.283185307179586"],
+        ["analytic", "--system", "rotation:omega=0.5", "--dict", "fourier:2",
+         "--measure", "uniform: 0, 6.283185307179586"],
         # config paths are relative to the test's working directory, tmp_path
         ["edmd", *TRIPLE, "--M", "100", "--config=missing.cfg"],
         ["edmd", *TRIPLE, "--M", "100", "--config", "nested.cfg"],
@@ -307,6 +312,14 @@ class TestValidate:
         assert errors == ["error: unknown dictionary 'chebyshev:3'",
                           "error: unknown measure 'beta:1,2'"]
 
+    def test_blank_in_identifier_is_one_error_line_each(self, tmp_path, capsys):
+        code = run(tmp_path, "validate", "--system", "rotation:omega = 0.5",
+                   "--dict", "fourier:2", "--measure", "uniform: 0, 6.283185307179586")
+        assert code == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "error: identifiers take no blanks, got 'rotation:omega = 0.5'",
+            "error: identifiers take no blanks, got 'uniform: 0, 6.283185307179586'"]
+
     def test_clean_config_is_silent(self, tmp_path, capsys):
         code = run(tmp_path, "validate", "--system", "logistic", "--dict", "legendre:8",
                    "--measure", "uniform:-1,1", "--M", "100")
@@ -326,6 +339,32 @@ class TestPredictCommand:
         first = lines[2].split(",")
         assert first[0] == "1"
         assert float(first[1]) == pytest.approx(-0.82)
+
+    def prediction_rows(self, tmp_path, *argv):
+        assert run(tmp_path, "predict", *argv, "--reproducible") == 0
+        lines = read_file(tmp_path / "prediction.csv").splitlines()[2:]
+        return np.array([ln.split(",") for ln in lines], dtype=float)
+
+    def test_truth_is_the_orbit_not_its_projection(self, tmp_path):
+        # legendre:0 spans the constants, whose projection of x is 0; the
+        # truth is still x along the orbit 0.3 -> -0.82 -> 0.3448 -> -0.76222592
+        rows = self.prediction_rows(tmp_path, "--system", "logistic", "--dict", "legendre:0",
+                                    "--measure", "uniform:-1,1", "--x0", "0.3",
+                                    "--horizon", "3", "--analytic")
+        orbit = [-0.82, 0.3448, -0.76222592]
+        assert np.max(np.abs(rows[:, 1] - orbit)) <= 1e-15 and not rows[:, 2].any()
+        assert np.max(np.abs(rows[:, 5] - np.abs(rows[:, 3] - orbit))) <= 1e-15
+
+    def test_circle_truth_has_modulus_one(self, tmp_path):
+        # e^{ix} is not in a legendre span, so its projection strays from the
+        # unit circle; the orbit's e^{i T^i x0} does not
+        rows = self.prediction_rows(tmp_path, "--system", "rotation:omega=0.9",
+                                    "--dict", "legendre:4",
+                                    "--measure", "uniform:0,6.283185307179586", "--x0", "0.3",
+                                    "--horizon", "5", "--M", "100")
+        truth = rows[:, 1] + 1j * rows[:, 2]
+        assert np.max(np.abs(np.abs(truth) - 1.0)) <= 1e-15
+        assert np.max(np.abs(truth - np.exp(1j * (0.3 + 0.9 * np.arange(1, 6))))) <= 1e-14
 
 
 CIRCLE = ["--system", "rotation:omega=0.8378", "--measure", "uniform:0,6.283185307179586"]
@@ -509,6 +548,15 @@ class TestConfigFile:
         header = read_file(tmp_path / "prediction.csv").splitlines()[0].split()
         assert "analytic=False" in header and "M=100" in header
         assert any(part.startswith("provenance=sampled:") for part in header)
+
+    def test_last_config_is_read(self, tmp_path):
+        # argparse keeps the last --config, as for every flag; so does the file read
+        for name, m in [("a", 100), ("b", 200)]:
+            (tmp_path / f"{name}.cfg").write_text(f"M={m}\n", encoding="utf-8")
+        assert main(["edmd", *TRIPLE, "--config", str(tmp_path / "a.cfg"),
+                     f"--config={tmp_path / 'b.cfg'}", "--outdir", str(tmp_path),
+                     "--reproducible"]) == 0
+        assert "M=200" in read_file(tmp_path / "edmd_matrix.csv").splitlines()[0].split()
 
     @pytest.mark.parametrize("line", ["reproducible=maybe", "reproducible=1"])
     def test_bad_switch_value_is_exit_one(self, tmp_path, capsys, line):

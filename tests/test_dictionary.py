@@ -4,6 +4,7 @@ import pytest
 from edmdkit import (
     ConfigError,
     Dictionary,
+    RankDeficiencyError,
     apply_batch,
     box,
     circle,
@@ -232,6 +233,31 @@ class TestReduceSeams:
     def test_no_rows(self, w):
         with pytest.raises(ValueError, match="no rows"):
             _reduce(legendre(2), np.zeros((1, 0)), lambda cols: np.zeros((3, 0)), w)
+
+
+class TestRankCutoff:
+    """The one cutoff max(n, count) eps sigma_max of errors.check_rank: _solve
+    keeps a direction exactly when the rank check passes, either side of it,
+    with the count below and above n."""
+
+    @pytest.mark.parametrize("count", [1, 10], ids=["count<n", "count>n"])
+    @pytest.mark.parametrize("side", ["above", "at", "below"])
+    def test_solve_keeps_what_the_check_passes(self, count, side):
+        cutoff = max(2, count) * np.finfo(float).eps
+        c = {"above": np.nextafter(cutoff, 1.0), "at": cutoff,
+             "below": np.nextafter(cutoff, 0.0)}[side]
+        r11 = np.diag([1.0, c])
+        x, s = _solve(r11, np.eye(2), count)
+        assert np.array_equal(s, [1.0, c])
+        if side == "above":
+            _solve(r11, np.eye(2), count, what="R11")
+            assert x[1, 1] == 1.0 / c
+        else:
+            with pytest.raises(RankDeficiencyError) as info:
+                _solve(r11, np.eye(2), count, what="R11")
+            assert info.value.cutoff == cutoff and info.value.what == "R11"
+            assert x[1, 1] == 0.0
+        assert x[0, 0] == 1.0 and x[0, 1] == x[1, 0] == 0.0
 
 
 class TestValidation:

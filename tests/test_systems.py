@@ -404,10 +404,22 @@ class TestParsing:
         "logistic:r=3.9", "identity:3", "identity:a=1", "rotation:omega=1,omega=2",
         "rotation:omega", "rotation:omega=abc", "rotation:", "affine:a=1",
         "affine:a=1,b=2,c=3", "affine:a=1,b=2,a=1", "affine:a=1,,b=2",
+        # identifiers take no blanks: float() and a stripped key would read
+        # past them, and the output header's blank-split fields would not
+        "rotation:omega = 0.5", "rotation:omega=0.5 ", "rotation: omega=0.5",
+        "rotation:omega=\t0.5", "affine:a=1, b=2", "logistic ", " identity",
     ])
     def test_every_system_takes_exactly_its_parameters(self, spec):
         with pytest.raises(ConfigError):
             parse_system(spec)
+
+    @pytest.mark.parametrize("spec", [
+        "uniform: 0, 6.283185307179586", "uniform:-1 ,1", "uniform:-1,1\n",
+        "gaussian:0,\t1", " gaussian:0,1",
+    ])
+    def test_measure_takes_no_blanks(self, spec):
+        with pytest.raises(ConfigError):
+            parse_measure(spec)
 
     def test_parameters_in_any_order(self):
         assert parse_system("affine:b=0.5,a=2").name == parse_system("affine:a=2,b=0.5").name
