@@ -67,7 +67,8 @@ def _analytic_fits(system, dics, measure, quad_order=None, f=None):
     at N = N_max on the rule of ``quad_order`` nodes, of ``default_quad_order``, or
     else of the first escalation order whose A agrees with the one before.  Row i of
     C projects f_i, f's (n_f, K) values on the K nodes (``predict._values``; no rows
-    without ``f``); R11 = R[:n, :n] and R12 = R[:n, N:N + n_f + n] solve each smaller n."""
+    without ``f``); of its N x (2N + n_f) R, R11 = R[:n, :n] and
+    R12 = R[:n, N:N + n_f + n] solve each smaller n."""
     n_max = dics[-1].size
     fixed = quad_order if quad_order is not None else default_quad_order(system, dics[-1])
     x = None

@@ -45,7 +45,7 @@ class SnapshotPair:
 
 def _reduction(pair: SnapshotPair, dic: Dictionary) -> tuple[np.ndarray, float, float]:
     """The one pass over the pair's data, psi evaluated once per block of X and Y:
-    the read-only 2N x 2N R of [psi(X)^H | psi(Y)^H] (``dictionary._reduce``),
+    the read-only N x 2N [R11 R12] of [psi(X)^H | psi(Y)^H] (``dictionary._reduce``),
     max|psi(X)| and max|psi(Y)|.  The pair's slot keeps them for ``dic``; a refill
     computes the same values, so concurrent callers are safe."""
     if pair._r is None or pair._r[0] != dic:

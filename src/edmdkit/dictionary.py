@@ -25,10 +25,17 @@ from .errors import ConfigError, NonFiniteError, check_rank
 from .systems import Domain, QuadratureRule, as_points, as_state, box, circle
 
 # Points per block of the least-squares reduction, whose psi and target are
-# evaluated and folded as one (2N + _BLOCK) x 2N QR step that stays in cache: a
+# evaluated and folded as one (N + _BLOCK) x (N + p) step that stays in cache: a
 # legendre:64 fit at M = 1e5, one BLAS thread, took 0.63 s at 1024 rows per
-# step, 0.61 s at 2048, 0.69 s at 4096 and 0.78 s at 8192 (medians).
+# step, 0.61 s at 2048, 0.69 s at 4096 and 0.78 s at 8192 (medians, when each
+# step still factored all 2N columns of the full 2N-row R).
 _BLOCK = 2048
+
+# Widest stack that a fold factors with one QR.  This is the crossover NX of
+# LAPACK's xGEQRF: up to 128 columns the QR is unblocked and its bits do not
+# depend on the BLAS thread count; from 129 on it is blocked and they do.  Wider
+# stacks are folded by ``_fold``, whose products depend on the thread count too.
+_NX = 128
 
 
 _DEFAULT_DOMAINS = {"legendre": box(-1.0, 1.0), "monomial": box(-1.0, 1.0),
@@ -193,35 +200,64 @@ def gram(dic: Dictionary, rule: QuadratureRule) -> np.ndarray:
 
 
 def _reduce(dic: Dictionary, x, target, w=1.0):
-    """R = [[R11, R12], [0, R22]] of the rows sqrt(w_k) [psi(x_k)^H | t_k^H] of
-    min_A sum_k w_k ||A psi(x_k) - t_k||^2 over the columns x_k of ``x``, then
-    max|psi(x)| and max|t|: one pass (TSQR) over ``_BLOCK``-column slices ``cols``
-    of x in order, psi(x[:, cols]) and ``target(cols)`` (n, b) folded as one QR
-    step of the R so far stacked on their rows in one reused Fortran buffer.
-    ``w`` is 1.0 or one weight per column.  Zero rows pad R square.  R11^H R11 =
-    sum_k w_k psi_k psi_k^H, the weighted Gram; R11^H R12 = sum_k w_k psi_k t_k^H."""
+    """[R11 R12], the leading N rows of the QR factor R of the rows
+    sqrt(w_k) [psi(x_k)^H | t_k^H] of min_A sum_k w_k ||A psi(x_k) - t_k||^2 over
+    the columns x_k of ``x``, then max|psi(x)| and max|t|: one pass (TSQR) over
+    ``_BLOCK``-column slices ``cols`` of x in order, psi(x[:, cols]) and
+    ``target(cols)`` (p, b) stacked below [R11 R12] in one reused Fortran buffer
+    and folded.  The first block is one QR; so is a fold of a stack at most
+    ``_NX`` columns wide, a wider one is ``_fold``.  R22 is never formed.  ``w``
+    is 1.0 or one weight per column.  Zero rows pad fewer than N rows to N.
+    R11^H R11 = sum_k w_k psi_k psi_k^H, the weighted Gram; R11^H R12 =
+    sum_k w_k psi_k t_k^H."""
+    n = dic.size
     r = buf = None
     peaks = (0.0, 0.0)
     for i in range(0, x.shape[1], _BLOCK):
         cols = slice(i, i + _BLOCK)
         psi, t = evaluate_batch(dic, x[:, cols]), target(cols)
         peaks = tuple(max(p, float(np.max(np.abs(v)))) for p, v in zip(peaks, (psi, t)))
-        rows = np.concatenate([psi, t]).T  # C-ordered (n, b), so this is Fortran (b, n)
+        rows = np.concatenate([psi, t]).T  # C-ordered (n + p, b), so this is Fortran (b, n + p)
         del psi, t  # not held during the QR
         if np.iscomplexobj(rows):
             np.conjugate(rows, out=rows)
         if np.ndim(w):
             rows *= np.sqrt(w[cols]).reshape(-1, 1)
-        if r is not None:
-            if buf is None:
-                buf = np.empty((r.shape[1] + _BLOCK, r.shape[1]), r.dtype, order="F")
-            k = len(r)
-            buf[:k], buf[k:k + len(rows)] = r, rows
-            rows = buf[:k + len(rows)]
-        r = np.linalg.qr(rows, mode="r")
+        if r is None:
+            r = np.linalg.qr(rows, mode="r")[:n]
+            r = np.concatenate([r, np.zeros((n - len(r), r.shape[1]), r.dtype)])
+            continue
+        if buf is None:
+            buf = np.empty((n + _BLOCK, r.shape[1]), r.dtype, order="F")
+        buf[:n], buf[n:n + len(rows)] = r, rows
+        rows = buf[:n + len(rows)]
+        r = np.linalg.qr(rows, mode="r")[:n] if rows.shape[1] <= _NX else _fold(rows, n)
     if r is None:
         raise ValueError("least-squares reduction of no rows")
-    return np.concatenate([r, np.zeros((r.shape[1] - r.shape[0], r.shape[1]), r.dtype)]), *peaks
+    return r, *peaks
+
+
+def _fold(stack, n):
+    """The leading n rows of the QR factor R of ``stack`` (at least n rows),
+    with only its first n columns factored: Householder reflectors
+    H_j = I - tau_j v_j v_j^H from one ``np.linalg.qr(mode="raw")`` of them give
+    [R11 R12'], where R12' is the leading n rows of Q^H C, C the other columns.
+    Q = H_1 ... H_n = I - V T V^H in compact WY form, with
+    T^-1 = diag(1/tau) + striu(V^H V) (Joffrain et al., ACM TOMS 32(2), 2006),
+    so R12' = C[:n] - V[:n] T^H (V^H C).  A reflector with tau = 0 is the
+    identity; its v is set to 0."""
+    h, tau = np.linalg.qr(stack[:, :n], mode="raw")
+    v = h.T  # qr's own copy: R11 on and above the diagonal, the v_j below
+    r11 = np.triu(v[:n])
+    v[:n][np.triu_indices(n, 1)] = 0.0
+    diag, live = np.arange(n), tau != 0
+    v[diag, diag] = live
+    inv_tau = np.ones_like(tau)
+    np.divide(1.0, tau, out=inv_tau, where=live)
+    vh, c = v.conj().T, stack[:, n:]
+    t_inv = np.triu(vh @ v, 1)
+    t_inv[diag, diag] = inv_tau
+    return np.concatenate([r11, c[:n] - v[:n] @ np.linalg.solve(t_inv.conj().T, vh @ c)], axis=1)
 
 
 def _solve(r11, r12, count, tikhonov=0.0, what=None):
@@ -242,10 +278,11 @@ _ON_RULE = "psi on the rule's nodes"
 
 
 def _project(dic: Dictionary, rule: QuadratureRule, target):
-    """The one weighted projection: R of the rows sqrt(w_k) [psi(x_k)^H | t_k^H]
-    over the K nodes of ``rule`` (``_reduce``), t = ``target(cols)`` per block,
-    the rows X minimizing sum_k w_k ||X psi(x_k) - t_k||^2 and sigma(R11),
-    singular at max(N, K) eps sigma_max."""
+    """The one weighted projection: R = [R11 R12] of the rows
+    sqrt(w_k) [psi(x_k)^H | t_k^H] over the K nodes of ``rule`` (``_reduce``),
+    t = ``target(cols)`` per block, the rows X minimizing
+    sum_k w_k ||X psi(x_k) - t_k||^2 and sigma(R11), singular at
+    max(N, K) eps sigma_max."""
     n = dic.size
     r, _, _ = _reduce(dic, rule.nodes, target, rule.weights)
     return r, *_solve(r[:n, :n], r[:n, n:], rule.size, what=_ON_RULE)

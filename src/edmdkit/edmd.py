@@ -96,8 +96,9 @@ def fit_edmd(snapshots: SnapshotPair, dic: Dictionary, tikhonov: float = 0.0) ->
 
 def _sampled_fits(pair: SnapshotPair, dics, tikhonov=0.0) -> list[KoopmanMatrix]:
     """The one sampled fitter: fit_edmd's fit of each nested dictionary ``dics``,
-    ascending, from the pair's one reduction R of [psi(X)^H | psi(Y)^H] at the
-    largest, N: R11 = R[:n, :n] and R12 = R[:n, N:N + n] solve the n-fit."""
+    ascending, from the pair's one reduction R = [R11 R12] (N x 2N) of
+    [psi(X)^H | psi(Y)^H] at the largest, N: R11 = R[:n, :n] and
+    R12 = R[:n, N:N + n] solve the n-fit."""
     r, _, _ = _reduction(pair, dics[-1])
     n_max = dics[-1].size
     kind = "sampled" if not pair.is_trajectory else "sampled-trajectory"

@@ -257,22 +257,29 @@ def _stieltjes(theta, n):
     return p, dp
 
 
-def _cosine_series(theta, n):
+def _cosine_coefficients(n):
+    """The coefficients a_k a_{n-k} and frequencies n - 2k, k = 0..n, of the
+    cosine series of P_n (``_cosine_series``), a_k = (1/2)_k / k!."""
+    j = np.arange(1, n + 1)
+    a = np.cumprod(np.concatenate(([1.0], (j - 0.5) / j)))
+    return a * a[::-1], n - 2.0 * np.arange(n + 1)
+
+
+def _cosine_series(theta, coef, freq):
     """P_n(cos theta) and its theta-derivative from the exact cosine series
 
         P_n(cos theta) = sum_{k <= n} a_k a_{n-k} cos((n - 2k) theta),
         a_k = (1/2)_k / k!,
 
-    whose coefficients are positive and sum to 1.  The phases
+    whose coefficients ``coef`` and frequencies ``freq`` come from
+    ``_cosine_coefficients(n)``; they are positive and sum to 1.  The phases
     e^{i(n-2k) theta} come in blocks: with k = qB + r and B = isqrt(n) + 1,
     e^{i(n-2k) theta} = e^{i(n-2qB) theta} e^{-2ir theta}, so each node takes
     about 2 sqrt(n) complex exponentials instead of n + 1 cosines and n + 1
     sines.  The sums are numpy's pairwise sums over the full row, not BLAS:
     the bits must not depend on the thread count.
     """
-    j = np.arange(1, n + 1)
-    a = np.cumprod(np.concatenate(([1.0], (j - 0.5) / j)))
-    coef, freq = a * a[::-1], n - 2.0 * np.arange(n + 1)
+    n = len(coef) - 1
     b = math.isqrt(n) + 1
     outer = np.exp(1j * np.multiply.outer(theta, n - 2.0 * b * np.arange(-(-(n + 1) // b))))
     inner = np.exp(-2j * np.multiply.outer(theta, np.arange(b)))
@@ -333,7 +340,8 @@ def _leggauss(order):
     steps = 1 if n >= _ASYMPTOTIC_NODES else 2
     j = np.arange(1, n + 1)
     c_n = 4.0 / math.pi * math.exp(math.fsum(np.log1p(-0.5 / (j + 0.5))))
-    edge, d_edge = _newton(lambda t: _cosine_series(t, n), theta[:edges], steps)
+    coef, freq = _cosine_coefficients(n)
+    edge, d_edge = _newton(lambda t: _cosine_series(t, coef, freq), theta[:edges], steps)
     inner, d_inner = _newton(lambda t: _stieltjes(t, n), theta[edges:], steps)
     lower = -np.cos(np.concatenate((edge, inner)))  # ascending to the centre
     half_w = 2.0 / np.concatenate((d_edge, c_n * d_inner)) ** 2

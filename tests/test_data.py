@@ -271,11 +271,11 @@ class TestOneEvaluation:
         assert np.linalg.norm(k.A - ref.T) <= 1e-12 * np.linalg.norm(ref)
 
     def test_reduction_memory_does_not_grow_with_m(self):
-        # streamed: the traced peak is a few QR steps of (2N + _BLOCK) x 2N
-        # doubles whatever M is, never an N x M slot (seen: 2.94 steps, 6.7 MB
+        # streamed: the traced peak is a few fold stacks of (N + _BLOCK) x 2N
+        # doubles whatever M is, never an N x M slot (seen: 2.97 stacks, 6.5 MB
         # at N = 65)
         dic = parse_dictionary("legendre:64")
-        step = (2 * dic.size + _BLOCK) * 2 * dic.size * 8
+        step = (dic.size + _BLOCK) * 2 * dic.size * 8
         peaks = []
         for m in [4 * _BLOCK, 16 * _BLOCK]:
             pair = generate_iid(self.LOGISTIC, parse_measure("uniform:-1,1"), m, seed=5)

@@ -20,7 +20,7 @@ from edmdkit import (
     parse_system,
     uniform,
 )
-from edmdkit.dictionary import _BLOCK, _project, _reduce, _solve
+from edmdkit.dictionary import _BLOCK, _fold, _project, _reduce, _solve
 
 from _oracles import quadrature_projection, weighted_lstsq, weighted_moments
 
@@ -155,10 +155,10 @@ class TestGram:
             assert np.linalg.eigvalsh(g)[0] > 1e-10
 
 
-def _gauss_case(m):
-    """legendre:8, the m-node Gauss rule and the target psi o T on its nodes,
-    as ``analytic._analytic_fits`` hands them over."""
-    dic, rule = legendre(8), gauss_rule(parse_measure("uniform:-1,1"), m)
+def _gauss_case(m, max_deg=8):
+    """legendre:<max_deg>, the m-node Gauss rule and the target psi o T on its
+    nodes, as ``analytic._analytic_fits`` hands them over."""
+    dic, rule = legendre(max_deg), gauss_rule(parse_measure("uniform:-1,1"), m)
     images = apply_batch(parse_system("logistic"), rule.nodes)
     return dic, rule, images, lambda cols: evaluate_batch(dic, images[:, cols])
 
@@ -167,16 +167,17 @@ def _reduction_case(name, m):
     """(R, psi, t, w) for m rows, reduced the way the library's callers hand
     them over: a snapshot pair through ``data._reduction``, a Gauss rule with
     its weights and a lazy target as in ``analytic._analytic_fits``."""
-    logistic = parse_system("logistic")
-    if name == "gauss legendre:8":
-        dic, rule, images, target = _gauss_case(m)
+    family, size = name.split()[1].split(":")
+    if name.startswith("gauss"):
+        dic, rule, images, target = _gauss_case(m, int(size))
         r, _, _ = _reduce(dic, rule.nodes, target, rule.weights)
         return r, evaluate_batch(dic, rule.nodes), evaluate_batch(dic, images), rule.weights
-    if name == "rotation fourier:5":
+    if name.startswith("rotation"):
         system = parse_system("rotation:omega=0.8378")
-        dic, measure = parse_dictionary("fourier:5", system.domain), uniform(system.domain)
-    else:  # logistic legendre:8: psi_0(X) = psi_0(Y) = 1, so [psi(X)^H | psi(Y)^H] is singular
-        system, dic, measure = logistic, legendre(8), parse_measure("uniform:-1,1")
+        dic, measure = parse_dictionary(f"fourier:{size}", system.domain), uniform(system.domain)
+    else:  # logistic legendre: psi_0(X) = psi_0(Y) = 1, so [psi(X)^H | psi(Y)^H] is singular
+        system, dic = parse_system("logistic"), legendre(int(size))
+        measure = parse_measure("uniform:-1,1")
     pair = generate_iid(system, measure, m, seed=3)
     r, _, _ = data._reduction(pair, dic)
     return r, evaluate_batch(dic, pair.X), evaluate_batch(dic, pair.Y), np.ones(m)
@@ -184,39 +185,62 @@ def _reduction_case(name, m):
 
 class TestReduceSeams:
     """The blocked QR of dictionary._reduce against plain-numpy moments and
-    lstsq on either side of each _BLOCK seam; M < N is the rank-deficient
-    short input, and every case has an exactly singular [psi(X)^H | psi(Y)^H]
-    (psi_0 = 1 on both sides; rotation only multiplies fourier modes)."""
+    lstsq on either side of each _BLOCK seam, with stacks of at most _NX
+    columns (one QR per fold) and wider (``_fold``); M < N is the
+    rank-deficient short input, and every case has an exactly singular
+    [psi(X)^H | psi(Y)^H] (psi_0 = 1 on both sides; rotation only multiplies
+    fourier modes)."""
 
     CASES = [(name, m) for name in ["logistic legendre:8", "rotation fourier:5",
                                     "gauss legendre:8"]
              for m in [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7]]
+    WIDE = [(name, m) for name in ["logistic legendre:64", "rotation fourier:32",
+                                   "gauss legendre:64"]
+            for m in [_BLOCK + 1, 3 * _BLOCK + 7]]
 
-    @pytest.mark.parametrize("name, m", [*CASES, ("logistic legendre:8", 5)],
+    @pytest.mark.parametrize("name, m", [*CASES, *WIDE, ("logistic legendre:8", 5)],
                              ids=str)
     def test_moments_and_fit_match_references(self, name, m):
-        # seen: G within 4.1e-15, B within 1.2e-14 of max|G|; A within 3.1e-15 relative
+        # seen: G within 2.7e-15, B within 1.2e-14 of max|G|; A within 3.4e-15
+        # relative; row 0 of A within 1.3e-14 of e_0
         r, psi, t, w = _reduction_case(name, m)
         n = len(psi)
-        assert r.shape == (2 * n, 2 * n) and np.array_equal(r, np.triu(r))
+        assert r.shape == (n, n + len(t)) and np.array_equal(r, np.triu(r))
         g, b = weighted_moments(psi, t, w)
-        r11, r12 = r[:n, :n], r[:n, n:]
+        r11, r12 = r[:, :n], r[:, n:]
         assert np.max(np.abs(r11.conj().T @ r11 - g)) <= 1e-12 * np.max(np.abs(g))
         assert np.max(np.abs(r11.conj().T @ r12 - b)) <= 1e-12 * np.max(np.abs(g))
         a, _ = _solve(r11, r12, m)  # the rows A, not A^H
         ref = weighted_lstsq(psi, t, w).conj().T
         assert np.linalg.norm(a - ref) <= 1e-12 * np.linalg.norm(ref)
-        diag = np.abs(np.diag(r))
-        assert diag.min() <= 1e-13 * diag.max()  # the exact rank deficiency reached R22
+        if m >= n:  # psi_0 = 1 on both sides; for M < N the minimum-norm row 0 is not e_0
+            assert np.max(np.abs(a[0] - np.eye(n)[0])) <= 1e-12
 
     @pytest.mark.parametrize("name, m", [(name, m) for name, m in CASES if m <= _BLOCK]
                              + [("logistic legendre:8", 5)], ids=str)
     def test_one_block_is_one_qr_call(self, name, m):
-        # at most _BLOCK rows: the same bits as one QR of all the rows, zero rows below
+        # at most _BLOCK rows: the leading n rows of one QR of all the rows,
+        # bit for bit, zero rows below when there are fewer than n rows
         r, psi, t, w = _reduction_case(name, m)
         ref = np.linalg.qr(np.concatenate([psi, t]).conj().T * np.sqrt(w)[:, None], mode="r")
-        assert np.array_equal(r[:len(ref)], ref)
-        assert not np.any(r[len(ref):])
+        k = min(len(psi), len(ref))
+        assert np.array_equal(r[:k], ref[:k])
+        assert not np.any(r[k:])
+
+    def test_fold_with_an_identity_reflector(self):
+        # psi_0 is zero on the block, so column 0 of the stack is zero below
+        # the diagonal and its reflector has tau = 0 (v_0 set to 0, 1/tau unused)
+        rng = np.random.default_rng(11)
+        n, p = 65, 66
+        top = np.linalg.qr(rng.standard_normal((_BLOCK, n + p)), mode="r")[:n]
+        block = rng.standard_normal((_BLOCK, n + p))
+        block[:, 0] = 0.0
+        stack = np.asfortranarray(np.concatenate([top, block]))
+        assert np.linalg.qr(stack[:, :n], mode="raw")[1][0] == 0.0
+        folded = _fold(stack, n)
+        ref = np.linalg.qr(stack, mode="r")[:n]
+        assert np.all(np.isfinite(folded))
+        assert np.max(np.abs(folded - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("m", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
     def test_projection_matches_gram_oracle(self, m):
